@@ -45,67 +45,82 @@ type Set struct {
 	Dummy      [][]float64
 }
 
-// Generate computes all attributes for g.
+// Generate computes all attributes for g. The rows of each attribute
+// matrix share one backing array, and the same-level pair distances come
+// from one dfg.Hops table owned by this call.
 func Generate(g *dfg.Graph) *Set {
 	an := dfg.Analyze(g)
 	s := &Set{An: an}
 
-	s.Node = make([][]float64, g.NumNodes())
+	s.Node = rows(g.NumNodes(), NodeAttrDim)
 	for v := range g.Nodes {
-		s.Node[v] = []float64{
+		copy(s.Node[v], []float64{
 			float64(an.ASAP[v]),
 			float64(g.InDegree(v)),
 			float64(g.OutDegree(v)),
 			float64(an.NumAncestors(v)),
 			float64(an.NumDescendants(v)),
 			float64(g.Nodes[v].Op),
-		}
+		})
 	}
 
-	s.Edge = make([][]float64, g.NumEdges())
+	s.Edge = rows(g.NumEdges(), EdgeAttrDim)
 	for i, e := range g.Edges {
 		sameLevel := an.NodesAtLevel(an.ASAP[e.From]) + an.NodesAtLevel(an.ASAP[e.To])
-		s.Edge[i] = []float64{
+		copy(s.Edge[i], []float64{
 			float64(an.ASAP[e.To] - an.ASAP[e.From]),
 			float64(an.NodesBetween(e.From, e.To)),
 			float64(sameLevel),
 			float64(an.NumAncestors(e.From)),
 			float64(an.NumDescendants(e.To)),
-		}
+		})
 	}
 
-	for _, p := range an.SameLevelPairs() {
-		pair := labels.MakePair(p.A, p.B)
+	pairs := an.SameLevelPairs()
+	if len(pairs) == 0 {
+		return s
+	}
+	hops := dfg.NewHops(an)
+	s.DummyPairs = make([]labels.Pair, len(pairs))
+	s.Dummy = rows(len(pairs), DummyAttrDim)
+	for i, p := range pairs {
 		lvl := an.ASAP[p.A]
 		var distAnc, distDesc float64
 		var betweenAnc, betweenDesc, equalCount float64
 		var pathAnc, pathDesc float64
 
 		equalCount = float64(an.NodesAtLevel(lvl))
-		if anc, d, ok := an.ClosestCommonAncestor(p.A, p.B); ok {
+		if anc, d, ok := hops.ClosestCommonAncestor(p.A, p.B); ok {
 			distAnc = float64(d)
 			betweenAnc = float64(an.NodesWithASAPBetween(an.ASAP[anc], lvl))
 			if an.ASAP[anc] != lvl {
 				equalCount += float64(an.NodesAtLevel(an.ASAP[anc]))
 			}
-			pa := an.PathNodeCount(anc, p.A)
-			pb := an.PathNodeCount(anc, p.B)
-			pathAnc = float64(pa + pb)
+			pathAnc = float64(hops.PathNodeCount(anc, p.A) + hops.PathNodeCount(anc, p.B))
 		}
-		if desc, d, ok := an.ClosestCommonDescendant(p.A, p.B); ok {
+		if desc, d, ok := hops.ClosestCommonDescendant(p.A, p.B); ok {
 			distDesc = float64(d)
 			betweenDesc = float64(an.NodesWithASAPBetween(lvl, an.ASAP[desc]))
 			if an.ASAP[desc] != lvl {
 				equalCount += float64(an.NodesAtLevel(an.ASAP[desc]))
 			}
-			pa := an.PathNodeCount(p.A, desc)
-			pb := an.PathNodeCount(p.B, desc)
-			pathDesc = float64(pa + pb)
+			pathDesc = float64(hops.PathNodeCount(p.A, desc) + hops.PathNodeCount(p.B, desc))
 		}
-		s.DummyPairs = append(s.DummyPairs, pair)
-		s.Dummy = append(s.Dummy, []float64{
+		s.DummyPairs[i] = labels.MakePair(p.A, p.B)
+		copy(s.Dummy[i], []float64{
 			distAnc, distDesc, betweenAnc, betweenDesc, equalCount, pathAnc, pathDesc,
 		})
 	}
 	return s
+}
+
+// rows returns n rows of width dim carved from one backing array, each
+// capped at its own width.
+func rows(n, dim int) [][]float64 {
+	back := make([]float64, n*dim)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = back[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
 }

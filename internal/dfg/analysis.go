@@ -28,6 +28,7 @@ type Analysis struct {
 
 	ancestors   []bitset // transitive predecessors, one bitset per node
 	descendants []bitset // transitive successors
+	below       []int    // below[l] counts the nodes with ASAP < l, for l in [0, CriticalPath+1]
 }
 
 // bitset is a fixed-width bit vector over node IDs.
@@ -90,6 +91,14 @@ func Analyze(g *Graph) *Analysis {
 		if lvl > a.CriticalPath {
 			a.CriticalPath = lvl
 		}
+	}
+
+	a.below = make([]int, a.CriticalPath+2)
+	for _, l := range a.ASAP {
+		a.below[l+1]++
+	}
+	for l := 1; l < len(a.below); l++ {
+		a.below[l] += a.below[l-1]
 	}
 
 	for i := range a.ALAP {
@@ -155,131 +164,22 @@ func (a *Analysis) NodesBetween(u, v int) int {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	n := 0
-	for w := range a.ASAP {
-		if a.ASAP[w] > lo && a.ASAP[w] < hi {
-			n++
-		}
-	}
-	return n
+	return a.NodesWithASAPBetween(lo, hi)
 }
 
 // NodesAtLevel counts the nodes whose ASAP value equals lvl.
 func (a *Analysis) NodesAtLevel(lvl int) int {
-	n := 0
-	for _, l := range a.ASAP {
-		if l == lvl {
-			n++
-		}
-	}
-	return n
+	return a.NodesWithASAPBetween(lvl-1, lvl+1)
 }
 
 // NodesWithASAPBetween counts nodes with lo < ASAP < hi.
 func (a *Analysis) NodesWithASAPBetween(lo, hi int) int {
-	n := 0
-	for _, l := range a.ASAP {
-		if l > lo && l < hi {
-			n++
-		}
-	}
-	return n
-}
-
-// ClosestCommonAncestor returns the common ancestor of u and v with the
-// largest ASAP value (closest to the pair) and the larger of the two hop
-// distances from u and v to it. ok is false when none exists.
-func (a *Analysis) ClosestCommonAncestor(u, v int) (anc, dist int, ok bool) {
-	best := -1
-	for w := range a.ASAP {
-		if a.ancestors[u].has(w) && a.ancestors[v].has(w) {
-			if best == -1 || a.ASAP[w] > a.ASAP[best] {
-				best = w
-			}
-		}
-	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	du := a.hopDistanceUp(u, best)
-	dv := a.hopDistanceUp(v, best)
-	if dv > du {
-		du = dv
-	}
-	return best, du, true
-}
-
-// ClosestCommonDescendant returns the common descendant of u and v with the
-// smallest ASAP value and the larger hop distance from u and v to it.
-func (a *Analysis) ClosestCommonDescendant(u, v int) (desc, dist int, ok bool) {
-	best := -1
-	for w := range a.ASAP {
-		if a.descendants[u].has(w) && a.descendants[v].has(w) {
-			if best == -1 || a.ASAP[w] < a.ASAP[best] {
-				best = w
-			}
-		}
-	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	du := a.hopDistanceDown(u, best)
-	dv := a.hopDistanceDown(v, best)
-	if dv > du {
-		du = dv
-	}
-	return best, du, true
-}
-
-// hopDistanceUp returns the shortest edge count from anc down to v (BFS over
-// successor edges starting at anc, restricted to ancestors of v plus v).
-func (a *Analysis) hopDistanceUp(v, anc int) int {
-	return a.shortestHops(anc, v)
-}
-
-// hopDistanceDown returns the shortest edge count from v down to desc.
-func (a *Analysis) hopDistanceDown(v, desc int) int {
-	return a.shortestHops(v, desc)
-}
-
-// shortestHops returns the shortest directed path length (in edges) from s to
-// t, or 0 if t is unreachable (callers only ask for reachable pairs).
-func (a *Analysis) shortestHops(s, t int) int {
-	if s == t {
+	lo = max(lo+1, 0)
+	hi = min(hi, len(a.below)-1)
+	if hi <= lo {
 		return 0
 	}
-	n := a.G.NumNodes()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range a.G.Succ(v) {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				if w == t {
-					return dist[w]
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return 0
-}
-
-// PathNodeCount returns the number of intermediate nodes on the shortest
-// directed path from s to t (path length - 1), or 0 when s and t are
-// adjacent or unreachable. Dummy-edge attributes 6 and 7 use it.
-func (a *Analysis) PathNodeCount(s, t int) int {
-	h := a.shortestHops(s, t)
-	if h <= 1 {
-		return 0
-	}
-	return h - 1
+	return a.below[hi] - a.below[lo]
 }
 
 // SameLevelPair describes two nodes with equal ASAP value, no direct

@@ -303,6 +303,41 @@ func TestNodesBetweenAndLevels(t *testing.T) {
 	}
 }
 
+// TestLevelCountsMatchScan checks the prefix-count level queries against a
+// scan of the ASAP values, for every level range around each random DFG.
+func TestLevelCountsMatchScan(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		a := Analyze(Random(rand.New(rand.NewSource(seed)), DefaultRandomConfig(), "levels"))
+		scan := func(lo, hi int) int {
+			n := 0
+			for _, l := range a.ASAP {
+				if l > lo && l < hi {
+					n++
+				}
+			}
+			return n
+		}
+		for lo := -2; lo <= a.CriticalPath+2; lo++ {
+			if got, want := a.NodesAtLevel(lo), scan(lo-1, lo+1); got != want {
+				t.Fatalf("seed %d: NodesAtLevel(%d) = %d, scan %d", seed, lo, got, want)
+			}
+			for hi := -2; hi <= a.CriticalPath+2; hi++ {
+				if got, want := a.NodesWithASAPBetween(lo, hi), scan(lo, hi); got != want {
+					t.Fatalf("seed %d: NodesWithASAPBetween(%d,%d) = %d, scan %d", seed, lo, hi, got, want)
+				}
+			}
+		}
+		for u := range a.ASAP {
+			for v := range a.ASAP {
+				lo, hi := min(a.ASAP[u], a.ASAP[v]), max(a.ASAP[u], a.ASAP[v])
+				if got, want := a.NodesBetween(u, v), scan(lo, hi); got != want {
+					t.Fatalf("seed %d: NodesBetween(%d,%d) = %d, scan %d", seed, u, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestClosestCommonAncestorDescendant(t *testing.T) {
 	g := paperExample()
 	a := Analyze(g)
@@ -321,6 +356,16 @@ func TestClosestCommonAncestorDescendant(t *testing.T) {
 	A, _ := g.NodeByName("A")
 	if _, _, ok := a.ClosestCommonAncestor(A, B); ok {
 		t.Error("A and B have no common ancestor")
+	}
+	h := NewHops(a)
+	if anc, dist, ok := h.ClosestCommonAncestor(D, E); !ok || anc != B || dist != 1 {
+		t.Errorf("Hops CCA(D,E) = (%d,%d,%v), want (B=%d,1,true)", anc, dist, ok, B)
+	}
+	if desc, _, ok := h.ClosestCommonDescendant(D, E); !ok || desc != J {
+		t.Errorf("Hops CCD(D,E) = (%d,%v), want (J=%d,true)", desc, ok, J)
+	}
+	if _, _, ok := h.ClosestCommonAncestor(A, B); ok {
+		t.Error("Hops: A and B have no common ancestor")
 	}
 }
 

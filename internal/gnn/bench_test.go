@@ -46,8 +46,8 @@ func BenchmarkGNNInferenceTaped(b *testing.B) {
 	}
 }
 
-// BenchmarkGNNInferenceBatch8 measures the batched path: eight DFGs per
-// PredictBatch call, reported per call.
+// BenchmarkGNNInferenceBatch8 measures one PredictBatch call over eight
+// kernels — eight Predict calls in a row — reported per call.
 func BenchmarkGNNInferenceBatch8(b *testing.B) {
 	m, _ := benchModel(b)
 	names := []string{"gemm", "atax", "bicg", "mvt", "gesummv", "syrk", "syr2k", "doitgen"}

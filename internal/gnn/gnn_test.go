@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -143,6 +144,31 @@ func TestIncidentEdgesIncludesSelf(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("edge %d missing from its own incident set", e)
+		}
+	}
+}
+
+// TestIncidentEdgesMatchesNaive checks the shared incident-set builder
+// against the map-per-edge construction it replaced, on kernels and random
+// DFGs.
+func TestIncidentEdgesMatchesNaive(t *testing.T) {
+	var sets []*attr.Set
+	for _, k := range []string{"gemm", "syrk", "doitgen", "3mm"} {
+		sets = append(sets, attr.Generate(kernels.MustByName(k)))
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 20; i++ {
+		sets = append(sets, attr.Generate(dfg.Random(rng, dfg.DefaultRandomConfig(), "rnd")))
+	}
+	for _, set := range sets {
+		want, got := naiveIncidentEdges(set), incidentEdges(set)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d sets, want %d", set.An.G.Name, len(got), len(want))
+		}
+		for e := range want {
+			if fmt.Sprint(got[e]) != fmt.Sprint(want[e]) {
+				t.Fatalf("%s: edge %d incident set %v, want %v", set.An.G.Name, e, got[e], want[e])
+			}
 		}
 	}
 }

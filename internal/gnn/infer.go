@@ -1,19 +1,17 @@
-// Fused, batched inference. Training runs the four networks through the
+// Fused no-tape inference. Training runs the four networks through the
 // autodiff tape (model.go Forward methods); serving label predictions only
 // needs the forward values, so this file evaluates the same math on
 // tensor.Infer — no Grad buffers, no backward closures, arena-recycled
-// intermediates — and packs many DFGs into single dense matrices so one
-// matmul serves a whole batch.
+// intermediates — one DFG per pass. Every op processes rows in the same
+// order as its taped counterpart, so Predict is bit-identical to the taped
+// reference (predictTaped, kept in the tests as their oracle); the
+// differential tests in infer_test.go enforce it.
 //
-// Batching is block-diagonal: the nodes (and edges, and dummy pairs) of
-// every DFG in the batch are stacked into one matrix, and the neighbor /
-// incident index sets are offset into the stacked row space. No set ever
-// crosses a DFG boundary, every row's arithmetic is independent of the
-// other rows, and every op processes rows in the same order as the
-// single-DFG path — so PredictBatch output is byte-identical to per-DFG
-// Predict output at any batch size, and both are bit-identical to the taped
-// reference (predictTaped). The differential tests in infer_test.go enforce
-// both properties.
+// A DFG is the unit of parallelism: a caller holding many DFGs fans Predict
+// out across cores, one DFG per task (lisa-serve's /v1/labels does).
+// Stacking many DFGs into one block-diagonal pass does not pay: measured on
+// the same DFGs it was slower per DFG than a loop of Predict, and it keeps
+// a whole batch on one core (DESIGN.md). PredictBatch is that loop.
 package gnn
 
 import (
@@ -30,154 +28,107 @@ import (
 // the same instance), while a tensor.Infer is single-threaded.
 var inferPool = sync.Pool{New: func() any { return tensor.NewInfer() }}
 
-// PredictBatch runs all four networks over a batch of DFG attribute sets
-// and assembles one label set per DFG. All nodes (edges, dummy pairs) of
-// the batch share single dense input matrices and single forward passes;
-// the per-DFG outputs are byte-identical to calling Predict on each set
-// alone. The error is non-nil only for scale-vector version skew (see
-// CheckScales).
+// Predict runs all four networks on a DFG's attribute set and assembles a
+// label set for the mapper. The error is non-nil only when the model's
+// scale vectors do not match the current attribute dimensionality (version
+// skew after an attribute-set change, see CheckScales), which would
+// otherwise mix scaled and unscaled columns into one matmul and predict
+// garbage. Safe for concurrent use.
 //
-//lisa:hotpath one call per uncached /v1/map request; the fused pass exists to kill per-node allocations
-func (m *Model) PredictBatch(sets []*attr.Set) ([]*labels.Labels, error) {
+//lisa:hotpath one call per DFG of every uncached /v1/map and /v1/labels request; the fused pass exists to kill per-node allocations
+func (m *Model) Predict(set *attr.Set) (*labels.Labels, error) {
 	if err := m.CheckScales(); err != nil {
 		return nil, err
 	}
-	out := make([]*labels.Labels, len(sets))
-	for i, set := range sets {
-		out[i] = labels.NewZero(set.An.G)
-	}
-	if len(sets) == 0 {
-		return out, nil
-	}
+	out := labels.NewZero(set.An.G)
 	in := inferPool.Get().(*tensor.Infer)
 	defer func() {
 		in.Reset()
 		inferPool.Put(in)
 	}()
 
-	m.batchOrder(in, sets, out)
+	m.predictOrder(in, set, out)
 	in.Reset() // each network starts from an empty arena: peak memory stays one network wide
-	m.batchEdges(in, sets, out)
+	m.predictEdges(in, set, out)
 	in.Reset()
-	m.batchSameLevel(in, sets, out)
+	m.predictSameLevel(in, set, out)
 	return out, nil
 }
 
-// batchOrder evaluates the label-1 (schedule order) network over all nodes
-// of the batch.
-func (m *Model) batchOrder(in *tensor.Infer, sets []*attr.Set, out []*labels.Labels) {
-	totalNodes, totalEdges := 0, 0
-	for _, set := range sets {
-		totalNodes += set.An.G.NumNodes()
-		totalEdges += set.An.G.NumEdges()
+// PredictBatch predicts each set in turn with Predict. Callers that want the
+// sets predicted in parallel fan Predict out themselves.
+func (m *Model) PredictBatch(sets []*attr.Set) ([]*labels.Labels, error) {
+	out := make([]*labels.Labels, len(sets))
+	for i, set := range sets {
+		var err error
+		if out[i], err = m.Predict(set); err != nil {
+			return nil, err
+		}
 	}
-	if totalNodes == 0 {
+	return out, nil
+}
+
+// predictOrder evaluates the label-1 (schedule order) network over the
+// DFG's nodes.
+func (m *Model) predictOrder(in *tensor.Infer, set *attr.Set, out *labels.Labels) {
+	n := set.An.G.NumNodes()
+	if n == 0 {
 		return
 	}
-	na := in.NewMat(totalNodes, attr.NodeAttrDim)
-	asap := in.NewMat(totalNodes, 1)
+	na := in.NewMat(n, attr.NodeAttrDim)
+	asap := in.NewMat(n, 1)
 	asapScale := m.ASAPScale
 	if asapScale == 0 {
 		asapScale = 1
 	}
-	// Block-diagonal undirected adjacency: each edge contributes exactly one
-	// predecessor and one successor entry, so the backing never reallocates
-	// and the per-node subslices stay valid.
-	neighbors := make([][]int, totalNodes)
-	backing := make([]int, 0, 2*totalEdges)
-	base := 0
-	for _, set := range sets {
-		g := set.An.G
-		for v := 0; v < g.NumNodes(); v++ {
-			row := base + v
-			fillScaledRow(na, row, set.Node[v], m.NodeScale)
-			asap.Set(row, 0, float64(set.An.ASAP[v])/asapScale)
-			start := len(backing)
-			for _, p := range g.Pred(v) {
-				backing = append(backing, base+p)
-			}
-			for _, s := range g.Succ(v) {
-				backing = append(backing, base+s)
-			}
-			neighbors[row] = backing[start:len(backing):len(backing)]
-		}
-		base += g.NumNodes()
+	for v := 0; v < n; v++ {
+		fillScaledRow(na, v, set.Node[v], m.NodeScale)
+		asap.Set(v, 0, float64(set.An.ASAP[v])/asapScale)
 	}
-	pred := m.Order.forwardInfer(in, na, asap, neighbors)
-	base = 0
-	for si, set := range sets {
-		g := set.An.G
-		for v := 0; v < g.NumNodes(); v++ {
-			out[si].Order[v] = clampMin(pred.At(base+v, 0), 0)
-		}
-		base += g.NumNodes()
+	pred := m.Order.forwardInfer(in, na, asap, undirectedNeighbors(set))
+	for v := range out.Order {
+		out.Order[v] = clampMin(pred.At(v, 0), 0)
 	}
 }
 
-// batchEdges evaluates the label-3 (spatial) and label-4 (temporal)
-// networks over all edges of the batch.
-func (m *Model) batchEdges(in *tensor.Infer, sets []*attr.Set, out []*labels.Labels) {
-	totalEdges := 0
-	for _, set := range sets {
-		totalEdges += set.An.G.NumEdges()
-	}
-	if totalEdges == 0 {
+// predictEdges evaluates the label-3 (spatial) and label-4 (temporal)
+// networks over the DFG's edges.
+func (m *Model) predictEdges(in *tensor.Infer, set *attr.Set, out *labels.Labels) {
+	if len(set.Edge) == 0 {
 		return
 	}
-	ea := in.NewMat(totalEdges, attr.EdgeAttrDim)
-	base := 0
-	for _, set := range sets {
-		for e, row := range set.Edge {
-			fillScaledRow(ea, base+e, row, m.EdgeScale)
-		}
-		base += set.An.G.NumEdges()
+	ea := in.NewMat(len(set.Edge), attr.EdgeAttrDim)
+	for e, row := range set.Edge {
+		fillScaledRow(ea, e, row, m.EdgeScale)
 	}
-	incident := packIncident(sets, totalEdges)
-	sp := m.Spatial.forwardInfer(in, ea, incident)
+	sp := m.Spatial.forwardInfer(in, ea, incidentEdges(set))
 	tp := m.Temporal.forwardInfer(in, ea)
-	base = 0
-	for si, set := range sets {
-		g := set.An.G
-		for e := 0; e < g.NumEdges(); e++ {
-			out[si].Spatial[e] = clampMin(sp.At(base+e, 0), 0)
-			out[si].Temporal[e] = clampMin(tp.At(base+e, 0), 1)
-		}
-		base += g.NumEdges()
+	for e := range out.Spatial {
+		out.Spatial[e] = clampMin(sp.At(e, 0), 0)
+		out.Temporal[e] = clampMin(tp.At(e, 0), 1)
 	}
 }
 
-// batchSameLevel evaluates the label-2 (same-level association) network
-// over all dummy pairs of the batch.
-func (m *Model) batchSameLevel(in *tensor.Infer, sets []*attr.Set, out []*labels.Labels) {
-	totalPairs := 0
-	for _, set := range sets {
-		totalPairs += len(set.DummyPairs)
-	}
-	if totalPairs == 0 {
+// predictSameLevel evaluates the label-2 (same-level association) network
+// over the DFG's dummy pairs.
+func (m *Model) predictSameLevel(in *tensor.Infer, set *attr.Set, out *labels.Labels) {
+	if len(set.DummyPairs) == 0 {
 		return
 	}
-	da := in.NewMat(totalPairs, attr.DummyAttrDim)
-	base := 0
-	for _, set := range sets {
-		for i, row := range set.Dummy {
-			fillScaledRow(da, base+i, row, m.DummyScale)
-		}
-		base += len(set.DummyPairs)
+	da := in.NewMat(len(set.DummyPairs), attr.DummyAttrDim)
+	for i, row := range set.Dummy {
+		fillScaledRow(da, i, row, m.DummyScale)
 	}
 	sl := m.Same.forwardInfer(in, da)
-	base = 0
-	for si, set := range sets {
-		for i, p := range set.DummyPairs {
-			out[si].SameLevel[p] = clampMin(sl.At(base+i, 0), 0)
-		}
-		base += len(set.DummyPairs)
+	for i, p := range set.DummyPairs {
+		out.SameLevel[p] = clampMin(sl.At(i, 0), 0)
 	}
 }
 
-// fillScaledRow writes one attribute row into the packed input matrix,
-// dividing by the per-column scale exactly like scaledMatrix. A width
-// mismatch is a shape bug (CheckScales already rejected model-side skew, so
-// this guards the attribute rows themselves) and fails loudly.
+// fillScaledRow writes one attribute row into an input matrix, dividing by
+// the per-column scale exactly like scaledMatrix. A width mismatch is a
+// shape bug (CheckScales already rejected model-side skew, so this guards
+// the attribute rows themselves) and fails loudly.
 func fillScaledRow(t *tensor.Tensor, row int, vals, scale []float64) {
 	if len(vals) != t.Cols {
 		panic(fmt.Sprintf("gnn: attribute row has %d columns, want %d", len(vals), t.Cols))
@@ -187,74 +138,6 @@ func fillScaledRow(t *tensor.Tensor, row int, vals, scale []float64) {
 			v /= scale[j]
 		}
 		t.Set(row, j, v)
-	}
-}
-
-// packIncident builds the block-diagonal e(v) sets of eq. (5): for every
-// edge, the sorted indexes (offset into the batch row space) of edges
-// sharing an endpoint with it, including itself. Contents per DFG are
-// identical to incidentEdges; the map-per-edge of that path is replaced by
-// an epoch-stamped dedup array and one shared backing slice so a batch
-// costs a handful of allocations instead of one map per edge.
-func packIncident(sets []*attr.Set, totalEdges int) [][]int {
-	incident := make([][]int, totalEdges)
-	bound := 0
-	for _, set := range sets {
-		g := set.An.G
-		for _, e := range g.Edges {
-			bound += len(g.InEdges(e.From)) + len(g.OutEdges(e.From)) +
-				len(g.InEdges(e.To)) + len(g.OutEdges(e.To))
-		}
-	}
-	backing := make([]int, 0, bound)
-	var scratch []int
-	var mark []int
-	epoch := 0
-	base := 0
-	for _, set := range sets {
-		g := set.An.G
-		ne := g.NumEdges()
-		if len(mark) < ne {
-			mark = make([]int, ne)
-		}
-		for i, e := range g.Edges {
-			epoch++
-			scratch = scratch[:0]
-			for _, v := range [2]int{e.From, e.To} {
-				for _, ie := range g.InEdges(v) {
-					if mark[ie] != epoch {
-						mark[ie] = epoch
-						scratch = append(scratch, ie)
-					}
-				}
-				for _, oe := range g.OutEdges(v) {
-					if mark[oe] != epoch {
-						mark[oe] = epoch
-						scratch = append(scratch, oe)
-					}
-				}
-			}
-			// Deterministic ascending order keeps float aggregation
-			// bit-reproducible (and equal to incidentEdges' sorted sets).
-			insertionSort(scratch)
-			start := len(backing)
-			for _, x := range scratch {
-				backing = append(backing, base+x)
-			}
-			incident[base+i] = backing[start:len(backing):len(backing)]
-		}
-		base += ne
-	}
-	return incident
-}
-
-// insertionSort orders a small int slice ascending without allocating;
-// incident sets are a handful of entries each.
-func insertionSort(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

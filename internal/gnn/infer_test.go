@@ -80,8 +80,8 @@ func TestFusedPredictBitIdenticalToTaped(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesSinglePredict checks block-diagonal batching: the
-// batch output must be byte-for-byte the per-DFG output at every batch size.
+// TestPredictBatchMatchesSinglePredict: the batch output must be
+// byte-for-byte the per-DFG output at every batch size.
 func TestPredictBatchMatchesSinglePredict(t *testing.T) {
 	m := trainedTestModel(33)
 	var sets []*attr.Set

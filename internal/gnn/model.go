@@ -20,10 +20,8 @@ package gnn
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/lisa-go/lisa/internal/attr"
-	"github.com/lisa-go/lisa/internal/labels"
 	"github.com/lisa-go/lisa/internal/tensor"
 )
 
@@ -181,21 +179,6 @@ func NewModel(rng *rand.Rand, archName string) *Model {
 	}
 }
 
-// Predict runs all four networks on a DFG's attribute set and assembles a
-// label set for the mapper. It uses the fused no-tape inference path
-// (infer.go), which is bit-identical to the taped forward passes; the error
-// is non-nil only when the model's scale vectors do not match the current
-// attribute dimensionality (version skew after an attribute-set change),
-// which would otherwise mix scaled and unscaled columns into one matmul and
-// predict garbage.
-func (m *Model) Predict(set *attr.Set) (*labels.Labels, error) {
-	out, err := m.PredictBatch([]*attr.Set{set})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // CheckScales validates the model's column scalers against the current
 // attribute dimensionality. Empty vectors mean "unscaled" (an untrained
 // model) and are valid; any other length must match exactly — a serialized
@@ -221,40 +204,6 @@ func (m *Model) checkScale(name string, got, want int) error {
 	return nil
 }
 
-// predictTaped is the reference implementation of Predict on the taped
-// engine. It is kept (unexported) as the ground truth the differential
-// tests and the inference benchmark compare the fused path against; the
-// fused Predict must reproduce its output bit for bit.
-func (m *Model) predictTaped(set *attr.Set) *labels.Labels {
-	g := set.An.G
-	out := labels.NewZero(g)
-
-	if g.NumNodes() > 0 {
-		na, asap := m.scaledNodeInputs(set)
-		pred := m.Order.Forward(na, asap, undirectedNeighbors(set))
-		for v := 0; v < g.NumNodes(); v++ {
-			out.Order[v] = clampMin(pred.At(v, 0), 0)
-		}
-	}
-	if g.NumEdges() > 0 {
-		ea := m.scaledMatrix(set.Edge, m.EdgeScale)
-		sp := m.Spatial.Forward(ea, incidentEdges(set))
-		tp := m.Temporal.Forward(ea)
-		for e := 0; e < g.NumEdges(); e++ {
-			out.Spatial[e] = clampMin(sp.At(e, 0), 0)
-			out.Temporal[e] = clampMin(tp.At(e, 0), 1)
-		}
-	}
-	if len(set.DummyPairs) > 0 {
-		da := m.scaledMatrix(set.Dummy, m.DummyScale)
-		sl := m.Same.Forward(da)
-		for i, p := range set.DummyPairs {
-			out.SameLevel[p] = clampMin(sl.At(i, 0), 0)
-		}
-	}
-	return out
-}
-
 func clampMin(x, lo float64) float64 {
 	if x < lo {
 		return lo
@@ -262,39 +211,65 @@ func clampMin(x, lo float64) float64 {
 	return x
 }
 
-// undirectedNeighbors returns each node's parents+children index sets.
+// undirectedNeighbors returns each node's parents then children — the
+// neighbor sets the schedule-order network aggregates over (eqs. 1-2). Each
+// edge adds one entry to each endpoint's set, so one backing array of
+// twice the edge count holds every set. Training and inference share it.
 func undirectedNeighbors(set *attr.Set) [][]int {
 	g := set.An.G
 	nb := make([][]int, g.NumNodes())
+	back := make([]int, 0, 2*g.NumEdges())
 	for v := range nb {
-		nb[v] = append(nb[v], g.Pred(v)...)
-		nb[v] = append(nb[v], g.Succ(v)...)
+		start := len(back)
+		back = append(back, g.Pred(v)...)
+		back = append(back, g.Succ(v)...)
+		nb[v] = back[start:len(back):len(back)]
 	}
 	return nb
 }
 
-// incidentEdges returns, per edge, the indexes of edges sharing an endpoint
-// with it (including itself) — the e(v) sets of eq. (5).
+// incidentEdges returns, per edge, the ascending indexes of the edges
+// sharing an endpoint with it, itself included — the e(v) sets of eq. (5);
+// the ascending order keeps float aggregation bit-reproducible. A mark
+// array stamped with the current edge deduplicates, and one backing array
+// sized from the endpoint degrees holds every set. Training and inference
+// share it.
 func incidentEdges(set *attr.Set) [][]int {
 	g := set.An.G
+	bound := 0
+	for _, e := range g.Edges {
+		bound += len(g.InEdges(e.From)) + len(g.OutEdges(e.From)) +
+			len(g.InEdges(e.To)) + len(g.OutEdges(e.To))
+	}
 	out := make([][]int, g.NumEdges())
+	back := make([]int, 0, bound)
+	mark := make([]int, g.NumEdges()) // mark[x] == i+1: edge x is already in edge i's set
 	for i, e := range g.Edges {
-		seen := map[int]bool{}
-		for _, v := range []int{e.From, e.To} {
-			for _, ie := range g.InEdges(v) {
-				seen[ie] = true
-			}
-			for _, oe := range g.OutEdges(v) {
-				seen[oe] = true
+		start := len(back)
+		for _, v := range [2]int{e.From, e.To} {
+			for _, xs := range [2][]int{g.InEdges(v), g.OutEdges(v)} {
+				for _, x := range xs {
+					if mark[x] != i+1 {
+						mark[x] = i + 1
+						back = append(back, x)
+					}
+				}
 			}
 		}
-		for ie := range seen {
-			out[i] = append(out[i], ie)
-		}
-		// Deterministic order keeps float aggregation bit-reproducible.
-		sort.Ints(out[i])
+		out[i] = back[start:len(back):len(back)]
+		insertionSort(out[i])
 	}
 	return out
+}
+
+// insertionSort orders a small int slice ascending without allocating;
+// incident sets are a handful of entries each.
+func insertionSort(s []int) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
 }
 
 // scaledNodeInputs builds the scaled node-attribute matrix and ASAP column.

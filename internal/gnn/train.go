@@ -304,9 +304,8 @@ func (m *Model) Accuracy(samples []Sample) [4]float64 {
 	for i := range samples {
 		sets[i] = samples[i].Set
 	}
-	// One fused, batched inference pass over the whole evaluation set
-	// (bit-identical to per-sample Predict). The model fitted its own
-	// scales, so a skew error here is an internal invariant violation.
+	// The model fitted its own scales, so a skew error here is an internal
+	// invariant violation.
 	preds, err := m.PredictBatch(sets)
 	if err != nil {
 		panic("gnn: Accuracy: " + err.Error())

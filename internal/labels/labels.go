@@ -82,13 +82,14 @@ func Initial(an *dfg.Analysis) *Labels {
 	for v := range g.Nodes {
 		l.Order[v] = float64(an.ASAP[v])
 	}
+	hops := dfg.NewHops(an)
 	for _, p := range an.SameLevelPairs() {
 		sum, cnt := 0.0, 0
-		if _, d, ok := an.ClosestCommonAncestor(p.A, p.B); ok {
+		if _, d, ok := hops.ClosestCommonAncestor(p.A, p.B); ok {
 			sum += float64(d)
 			cnt++
 		}
-		if _, d, ok := an.ClosestCommonDescendant(p.A, p.B); ok {
+		if _, d, ok := hops.ClosestCommonDescendant(p.A, p.B); ok {
 			sum += float64(d)
 			cnt++
 		}

@@ -120,6 +120,10 @@ func TestPoolSurvivesPanickingTasks(t *testing.T) {
 	if got := ran.Load(); got != tasks-tasks/4 {
 		t.Fatalf("ran %d non-panicking tasks, want %d", got, tasks-tasks/4)
 	}
+	// A panicking task's deferred wg.Done runs before the pool's recover
+	// calls the handler, so only Close — which waits for the workers —
+	// orders every handler call before the count is read.
+	p.Close()
 	if got := panics.Load(); got != tasks/4 {
 		t.Fatalf("handler saw %d panics, want %d", got, tasks/4)
 	}

@@ -515,23 +515,6 @@ func (r *Registry) LabelsFor(ar arch.Arch, g *dfg.Graph) (*labels.Labels, error)
 	return m.Predict(attr.Generate(g))
 }
 
-// LabelsForBatch predicts the four mapper labels for many DFGs on one
-// architecture in a single fused inference pass: all nodes/edges of the
-// batch share one set of dense matmuls (gnn.Model.PredictBatch), so the
-// per-DFG cost amortizes the model walk. Output is byte-identical to
-// calling LabelsFor per graph.
-func (r *Registry) LabelsForBatch(ar arch.Arch, gs []*dfg.Graph) ([]*labels.Labels, error) {
-	m, err := r.ModelFor(ar)
-	if err != nil {
-		return nil, err
-	}
-	sets := make([]*attr.Set, len(gs))
-	for i, g := range gs {
-		sets[i] = attr.Generate(g)
-	}
-	return m.PredictBatch(sets)
-}
-
 // String summarizes the registry for logs.
 func (r *Registry) String() string {
 	names := r.Ready()

@@ -309,46 +309,3 @@ func TestLabelsForPredictsAndPropagatesErrors(t *testing.T) {
 		t.Fatal("LabelsFor succeeded without a model and with training disabled")
 	}
 }
-
-func TestLabelsForBatchMatchesPerGraph(t *testing.T) {
-	// Use a pre-seeded (untrained) model so the test measures batching, not
-	// training time; the fused path runs either way.
-	r := New(Config{TrainOnDemand: false})
-	ar := arch.NewBaseline4x4()
-	r.Put(gnn.NewModel(rand.New(rand.NewSource(1)), ar.Name()))
-	gs := []*dfg.Graph{
-		kernels.MustByName("gemm"),
-		kernels.MustByName("syrk"),
-		kernels.MustByName("doitgen"),
-	}
-	batch, err := r.LabelsForBatch(ar, gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(gs) {
-		t.Fatalf("batch returned %d label sets, want %d", len(batch), len(gs))
-	}
-	for i, g := range gs {
-		single, err := r.LabelsFor(ar, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range single.Order {
-			if batch[i].Order[v] != single.Order[v] {
-				t.Fatalf("%s: batched Order[%d] = %v, single = %v", g.Name, v, batch[i].Order[v], single.Order[v])
-			}
-		}
-		for e := range single.Spatial {
-			if batch[i].Spatial[e] != single.Spatial[e] || batch[i].Temporal[e] != single.Temporal[e] {
-				t.Fatalf("%s: batched edge labels diverge at %d", g.Name, e)
-			}
-		}
-	}
-
-	cfg := quickCfg()
-	cfg.TrainOnDemand = false
-	r2 := New(cfg)
-	if _, err := r2.LabelsForBatch(ar, gs); err == nil {
-		t.Fatal("LabelsForBatch succeeded without a model and with training disabled")
-	}
-}

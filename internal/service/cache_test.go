@@ -130,15 +130,16 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 func TestCacheKeyDiscriminates(t *testing.T) {
 	gemm := kernels.MustByName("gemm")
 	atax := kernels.MustByName("atax")
-	base := cacheKey(gemm, "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
+	base := cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
 
 	variants := map[string]string{
-		"arch":     cacheKey(gemm, "cgra-8x8", engine.SA, mapper.Options{Seed: 1}, 0),
-		"engine":   cacheKey(gemm, "cgra-4x4", engine.LISA, mapper.Options{Seed: 1}, 0),
-		"seed":     cacheKey(gemm, "cgra-4x4", engine.SA, mapper.Options{Seed: 2}, 0),
-		"moves":    cacheKey(gemm, "cgra-4x4", engine.SA, mapper.Options{Seed: 1, MaxMoves: 9}, 0),
-		"deadline": cacheKey(gemm, "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 5000),
-		"dfg":      cacheKey(atax, "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0),
+		"arch":     cacheKey(gemm, "", "cgra-8x8", engine.SA, mapper.Options{Seed: 1}, 0),
+		"engine":   cacheKey(gemm, "", "cgra-4x4", engine.LISA, mapper.Options{Seed: 1}, 0),
+		"seed":     cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 2}, 0),
+		"moves":    cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1, MaxMoves: 9}, 0),
+		"deadline": cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 5000),
+		"dfg":      cacheKey(atax, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0),
+		"kernel":   cacheKey(gemm, "gemm", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0),
 	}
 	for what, key := range variants {
 		if key == base {
@@ -149,13 +150,13 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	// Normalization: zero knobs and explicit defaults share an entry.
 	def := mapper.DefaultOptions()
 	def.Seed = 1
-	if cacheKey(gemm, "cgra-4x4", engine.SA, def, 0) != base {
+	if cacheKey(gemm, "", "cgra-4x4", engine.SA, def, 0) != base {
 		t.Error("explicit default options hash differently from zero options")
 	}
-	// Names never reach the key.
+	// Graph names never reach the key.
 	renamed := kernels.MustByName("gemm")
 	renamed.Name = "whatever"
-	if cacheKey(renamed, "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0) != base {
+	if cacheKey(renamed, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0) != base {
 		t.Error("cache key depends on the graph name")
 	}
 }
@@ -172,8 +173,8 @@ func TestCacheKeyContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := cacheKey(g, "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
-	b := cacheKey(back, "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
+	a := cacheKey(g, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
+	b := cacheKey(back, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
 	if a != b {
 		t.Fatalf("kernel and round-tripped DFG hash differently:\n%s\n%s",
 			fmt.Sprintf("%.16s", a), fmt.Sprintf("%.16s", b))

@@ -4,13 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/lisa-go/lisa/internal/attr"
+	"github.com/lisa-go/lisa/internal/dfg"
+	"github.com/lisa-go/lisa/internal/gnn"
 	"github.com/lisa-go/lisa/internal/kernels"
+	"github.com/lisa-go/lisa/internal/labels"
 	"github.com/lisa-go/lisa/internal/registry"
+	"github.com/lisa-go/lisa/internal/tensor"
 )
 
 func postLabels(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
@@ -73,8 +83,7 @@ func TestLabelsBatchEndpoint(t *testing.T) {
 		t.Fatal("identical /v1/labels requests produced different bodies")
 	}
 
-	// Batch output must equal single-DFG output (the block-diagonal batching
-	// contract, observed end to end through HTTP).
+	// A row must not depend on the rest of its batch.
 	single := postLabels(t, h, `{"arch":"cgra-4x4","kernels":["syrk"]}`)
 	var sr LabelsResponse
 	if err := json.Unmarshal(single.Body.Bytes(), &sr); err != nil {
@@ -124,5 +133,235 @@ func TestLabelsWithoutModel503(t *testing.T) {
 	w := postLabels(t, s.Handler(), `{"arch":"cgra-4x4","kernels":["gemm"]}`)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", w.Code, w.Body)
+	}
+}
+
+// labelsFixture is a server with a lightly trained cgra-4x4 model and a pool
+// of DFGs of the three kinds a labels request carries.
+type labelsFixture struct {
+	h      http.Handler
+	model  *gnn.Model
+	named  []string
+	inline [][]byte // unrolled kernels and §V random DFGs, as JSON documents
+}
+
+func newLabelsFixture(t *testing.T) *labelsFixture {
+	t.Helper()
+	var samples []gnn.Sample
+	for s := int64(0); s < 4; s++ {
+		set := attr.Generate(dfg.Random(rand.New(rand.NewSource(s)), dfg.DefaultRandomConfig(), "train"))
+		samples = append(samples, gnn.Sample{Set: set, Lbl: labels.Initial(set.An)})
+	}
+	m := gnn.NewModel(rand.New(rand.NewSource(5)), "cgra-4x4")
+	m.Train(samples, gnn.TrainConfig{Epochs: 3, LR: 0.005, WeightDecay: 0.0001})
+	reg := registry.New(registry.Config{TrainOnDemand: false})
+	reg.Put(m)
+	s := New(Config{}, reg)
+	t.Cleanup(s.Close)
+
+	f := &labelsFixture{h: s.Handler(), model: m, named: kernels.Names()}
+	var docs []*dfg.Graph
+	for _, k := range kernels.Names() {
+		docs = append(docs, dfg.Unroll(kernels.MustByName(k), 2), dfg.Unroll(kernels.MustByName(k), 4))
+	}
+	for s := int64(10); s < 34; s++ {
+		docs = append(docs, dfg.Random(rand.New(rand.NewSource(s)), dfg.DefaultRandomConfig(), fmt.Sprintf("rnd%d", s)))
+	}
+	for _, g := range docs {
+		var b bytes.Buffer
+		if err := g.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		f.inline = append(f.inline, b.Bytes())
+	}
+	return f
+}
+
+// batch draws a request of n DFGs, named and inline, and the body a serial
+// loop of per-DFG Predict calls answers it with.
+func (f *labelsFixture) batch(t *testing.T, rng *rand.Rand, n int) (req, want []byte) {
+	t.Helper()
+	nk := rng.Intn(n + 1)
+	var names []string
+	var docs []json.RawMessage
+	var graphs []*dfg.Graph
+	for i := 0; i < nk; i++ {
+		name := f.named[rng.Intn(len(f.named))]
+		names = append(names, name)
+		graphs = append(graphs, kernels.MustByName(name))
+	}
+	for i := nk; i < n; i++ {
+		doc := f.inline[rng.Intn(len(f.inline))]
+		g, err := dfg.ReadJSON(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
+		graphs = append(graphs, g)
+	}
+	req, err := json.Marshal(LabelsRequest{Arch: "cgra-4x4", Kernels: names, DFGs: docs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := LabelsResponse{Arch: "cgra-4x4"}
+	for _, g := range graphs {
+		lbl, err := f.model.Predict(attr.Generate(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := LabelsRow{Name: g.Name, Nodes: g.NumNodes(), Edges: g.NumEdges(),
+			Order: lbl.Order, Spatial: lbl.Spatial, Temporal: lbl.Temporal}
+		//lisa:vet-ok maprange collected entries are sorted right below
+		for p, v := range lbl.SameLevel {
+			row.SameLevel = append(row.SameLevel, SameLevelEntry{A: p.A, B: p.B, Value: v})
+		}
+		sort.Slice(row.SameLevel, func(a, b int) bool {
+			if row.SameLevel[a].A != row.SameLevel[b].A {
+				return row.SameLevel[a].A < row.SameLevel[b].A
+			}
+			return row.SameLevel[a].B < row.SameLevel[b].B
+		})
+		resp.Labels = append(resp.Labels, row)
+	}
+	want, err = json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req, want
+}
+
+// withGOMAXPROCS runs fn at the given GOMAXPROCS, which sets the handler's
+// fan-out width.
+func withGOMAXPROCS(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestLabelsParallelMatchesSerialPredict: mixed batches of 1..64 named,
+// inline unrolled and inline random DFGs answer exactly the bytes of a
+// serial per-DFG Predict loop, whether the handler fans out or not.
+func TestLabelsParallelMatchesSerialPredict(t *testing.T) {
+	f := newLabelsFixture(t)
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(procs, func() {
+			rng := rand.New(rand.NewSource(int64(procs)))
+			for _, n := range []int{1, 2, 3, 8, 17, 40, maxLabelBatch} {
+				req, want := f.batch(t, rng, n)
+				w := postLabels(t, f.h, string(req))
+				if w.Code != http.StatusOK {
+					t.Fatalf("GOMAXPROCS=%d n=%d: status %d: %s", procs, n, w.Code, w.Body)
+				}
+				if !bytes.Equal(w.Body.Bytes(), want) {
+					t.Fatalf("GOMAXPROCS=%d n=%d: body differs from the serial per-DFG Predict reference", procs, n)
+				}
+			}
+		})
+	}
+}
+
+// TestLabelsConcurrentRequests: 16 concurrent requests, each fanned out,
+// all answer their serial reference (run it under -race).
+func TestLabelsConcurrentRequests(t *testing.T) {
+	f := newLabelsFixture(t)
+	rng := rand.New(rand.NewSource(16))
+	const clients = 16
+	reqs, wants := make([][]byte, clients), make([][]byte, clients)
+	for i := range reqs {
+		reqs[i], wants[i] = f.batch(t, rng, 1+rng.Intn(24))
+	}
+	withGOMAXPROCS(4, func() {
+		var wg sync.WaitGroup
+		errs := make([]string, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				req := httptest.NewRequest(http.MethodPost, "/v1/labels", bytes.NewReader(reqs[i]))
+				w := httptest.NewRecorder()
+				f.h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), wants[i]) {
+					errs[i] = fmt.Sprintf("request %d: status %d, body matches reference: %v", i, w.Code, bytes.Equal(w.Body.Bytes(), wants[i]))
+				}
+			}(i)
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != "" {
+				t.Error(e)
+			}
+		}
+	})
+}
+
+// TestLabelsLowestBadIndexWins: with several bad DFGs in one request, the
+// 400 carries the message of the lowest bad index in request order
+// (kernels, then inline DFGs), however the tasks were scheduled.
+func TestLabelsLowestBadIndexWins(t *testing.T) {
+	f := newLabelsFixture(t)
+	good := string(f.inline[0])
+	_, kernelErr := kernels.ByName("nope1")
+	_, garbageErr := dfg.ReadJSON(strings.NewReader(`{"nodes":"garbage"}`))
+	cases := []struct{ body, want string }{
+		{`{"arch":"cgra-4x4","kernels":["gemm","nope1","nope2"],"dfgs":[{"nodes":"garbage"}]}`, kernelErr.Error()},
+		{`{"arch":"cgra-4x4","kernels":["gemm"],"dfgs":[` + good + `,{"nodes":"garbage"},{"nodes":[]},{}]}`,
+			fmt.Errorf("dfgs[1]: %w", garbageErr).Error()},
+	}
+	withGOMAXPROCS(4, func() {
+		for _, c := range cases {
+			for rep := 0; rep < 20; rep++ {
+				w := postLabels(t, f.h, c.body)
+				var body errorBody
+				if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+					t.Fatal(err)
+				}
+				if w.Code != http.StatusBadRequest || body.Error != c.want {
+					t.Fatalf("status %d, error %q; want 400 %q", w.Code, body.Error, c.want)
+				}
+			}
+		}
+	})
+}
+
+// TestLabelsBadDFGBeatsMissingModel: a bad request answers 400 before the
+// model is resolved — not 503, and without starting an on-demand training.
+func TestLabelsBadDFGBeatsMissingModel(t *testing.T) {
+	for _, onDemand := range []bool{false, true} {
+		reg := registry.New(registry.Config{TrainOnDemand: onDemand, TrainCfg: gnn.TrainConfig{Epochs: 1}})
+		s := New(Config{}, reg)
+		for _, body := range []string{
+			`{"arch":"cgra-4x4","kernels":["gemm","nope"]}`,
+			`{"arch":"cgra-4x4","kernels":["gemm"],"dfgs":[{"nodes":"garbage"}]}`,
+		} {
+			if w := postLabels(t, s.Handler(), body); w.Code != http.StatusBadRequest {
+				t.Errorf("train on demand %v: status %d, want 400: %s", onDemand, w.Code, w.Body)
+			}
+		}
+		if runs := reg.Counters().TrainRuns; runs != 0 {
+			t.Errorf("train on demand %v: a bad request started %d training runs", onDemand, runs)
+		}
+		s.Close()
+	}
+}
+
+// TestLabelsTaskPanicReachesFence: a DFG whose inference panics inside a
+// fanned-out task becomes the handler fence's 500, not a crashed process.
+func TestLabelsTaskPanicReachesFence(t *testing.T) {
+	var panics atomic.Int32
+	reg := registry.New(registry.Config{TrainOnDemand: false})
+	broken := gnn.NewModel(rand.New(rand.NewSource(1)), "cgra-4x4")
+	broken.Order.W0 = tensor.New(1, 1) // shape bug: the first matmul panics
+	reg.Put(broken)
+	s := New(Config{OnPanic: func(any, []byte) { panics.Add(1) }}, reg)
+	defer s.Close()
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(procs, func() {
+			w := postLabels(t, s.Handler(), `{"arch":"cgra-4x4","kernels":["gemm","atax","mvt"]}`)
+			if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "matmul shape") {
+				t.Fatalf("GOMAXPROCS=%d: status %d: %s; want the fence's 500", procs, w.Code, w.Body)
+			}
+		})
+	}
+	if got := panics.Load(); got != 2 {
+		t.Fatalf("OnPanic saw %d panics, want 2", got)
 	}
 }

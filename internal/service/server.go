@@ -53,10 +53,12 @@ import (
 	"time"
 
 	"github.com/lisa-go/lisa/internal/arch"
+	"github.com/lisa-go/lisa/internal/attr"
 	"github.com/lisa-go/lisa/internal/cluster"
 	"github.com/lisa-go/lisa/internal/dfg"
 	"github.com/lisa-go/lisa/internal/engine"
 	"github.com/lisa-go/lisa/internal/fault"
+	"github.com/lisa-go/lisa/internal/gnn"
 	"github.com/lisa-go/lisa/internal/ilp"
 	"github.com/lisa-go/lisa/internal/kernels"
 	"github.com/lisa-go/lisa/internal/mapper"
@@ -331,13 +333,13 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 // the graph; Engine defaults to "lisa", Seed to 1, Unroll to 1, MaxMoves to
 // the server default, DeadlineMs to the server default.
 type MapRequest struct {
-	Kernel     string          `json:"kernel,omitempty"`
-	DFG        json.RawMessage `json:"dfg,omitempty"`
-	Arch       string          `json:"arch"`
-	Engine     string          `json:"engine,omitempty"`
-	Seed       *int64          `json:"seed,omitempty"`
-	Unroll     int             `json:"unroll,omitempty"`
-	MaxMoves   int             `json:"maxMoves,omitempty"`
+	Kernel   string          `json:"kernel,omitempty"`
+	DFG      json.RawMessage `json:"dfg,omitempty"`
+	Arch     string          `json:"arch"`
+	Engine   string          `json:"engine,omitempty"`
+	Seed     *int64          `json:"seed,omitempty"`
+	Unroll   int             `json:"unroll,omitempty"`
+	MaxMoves int             `json:"maxMoves,omitempty"`
 	// Restarts asks the SA-family engines to race a K-chain restart
 	// portfolio (capped by Config.MaxRestarts; 0 and 1 both mean the plain
 	// single-chain annealer). Part of the cache key: different widths are
@@ -484,7 +486,7 @@ func (s *Server) prepare(raw []byte) (*mapJob, error) {
 	}
 	job.mapOpts.TimeLimit = deadline
 
-	job.key = cacheKey(job.g, ar.Name(), job.eng, job.mapOpts, deadline.Milliseconds())
+	job.key = cacheKey(job.g, job.req.Kernel, ar.Name(), job.eng, job.mapOpts, deadline.Milliseconds())
 	return job, nil
 }
 
@@ -797,13 +799,13 @@ func (s *Server) requestGraph(req *MapRequest) (*dfg.Graph, error) {
 	return g, nil
 }
 
-// maxLabelBatch caps the number of DFGs per /v1/labels request: one batch
-// is a single fused inference pass, so the cap bounds the packed matrix
-// size the same way MaxDFGNodes bounds one mapping request.
+// maxLabelBatch caps the number of DFGs per /v1/labels request. Each DFG
+// is its own inference pass, bounded by MaxDFGNodes like one mapping
+// request; the cap bounds the work and the response size of one request.
 const maxLabelBatch = 64
 
 // LabelsRequest is the POST /v1/labels body: one architecture and a batch
-// of DFGs, named kernels and/or inline documents, predicted in a single
+// of DFGs, named kernels and/or inline documents, each predicted by one
 // fused GNN inference pass.
 type LabelsRequest struct {
 	Arch    string            `json:"arch"`
@@ -837,10 +839,26 @@ type LabelsResponse struct {
 	Labels []LabelsRow `json:"labels"`
 }
 
+// labelsItem carries one DFG of a /v1/labels request through its pipeline.
+type labelsItem struct {
+	g   *dfg.Graph
+	row LabelsRow
+	err error
+}
+
 // handleLabels serves raw GNN label predictions: the compile-time inference
 // half of the pipeline without the annealer, for clients that run their own
-// mapper or inspect what the model would steer it with. The whole batch is
-// one fused PredictBatch pass — byte-identical to per-DFG prediction.
+// mapper or inspect what the model would steer it with.
+//
+// Each DFG runs its own pipeline — resolve or decode and size-check it,
+// generate its attributes, predict it with one fused Predict, build its row
+// — and the DFGs fan out across cores (parallel.ForEach at GOMAXPROCS
+// width). The rows are answered in request order, so the bytes equal a
+// serial per-DFG loop. Errors keep the serial precedence: the lowest-index
+// bad kernel name or DFG answers 400, checked before the model is resolved
+// so a bad request never starts training or gets a 503; then a missing
+// model answers 503 and scale skew 500. A panicking task is re-raised here,
+// inside the handler's panic fence.
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/labels"
 	if r.Method != http.MethodPost {
@@ -872,66 +890,83 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, route, http.StatusBadRequest, "batch of %d DFGs exceeds the limit of %d", n, maxLabelBatch)
 		return
 	}
-	gs := make([]*dfg.Graph, 0, n)
-	for _, name := range req.Kernels {
-		g, err := kernels.ByName(name)
-		if err != nil {
-			s.failErr(w, route, http.StatusBadRequest, err)
+	workers := parallel.Workers(0)
+	items := parallel.MapOrdered(workers, n, func(i int) labelsItem {
+		g, err := s.labelsGraph(&req, i)
+		return labelsItem{g: g, err: err}
+	})
+	for _, it := range items {
+		if it.err != nil {
+			s.failErr(w, route, http.StatusBadRequest, it.err)
 			return
 		}
-		gs = append(gs, g)
 	}
-	for i, raw := range req.DFGs {
-		// Inline DFGs are untrusted: structurally validated and size-capped
-		// like /v1/map uploads.
-		g, err := dfg.ReadJSON(bytes.NewReader(raw))
-		if err != nil {
-			s.failErr(w, route, http.StatusBadRequest, fmt.Errorf("dfgs[%d]: %w", i, err))
-			return
-		}
-		if err := g.CheckSize(s.cfg.MaxDFGNodes, s.cfg.MaxDFGEdges); err != nil {
-			s.failErr(w, route, http.StatusBadRequest, fmt.Errorf("dfgs[%d]: %w", i, err))
-			return
-		}
-		gs = append(gs, g)
-	}
-	// Resolve the model first so "no model for this target" is backpressure
-	// (503, retry after training/reload), not an internal error.
-	if _, err := s.reg.ModelFor(ar); err != nil {
+	// Resolve the model only now, so "no model for this target" is
+	// backpressure (503, retry after training/reload), not an internal error.
+	m, err := s.reg.ModelFor(ar)
+	if err != nil {
 		s.fail(w, route, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	preds, err := s.reg.LabelsForBatch(ar, gs)
-	if err != nil {
-		// The only remaining failure is scale-vector version skew — a broken
-		// model artifact, squarely a server-side error.
-		s.fail(w, route, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	resp := LabelsResponse{Arch: ar.Name(), Labels: make([]LabelsRow, len(gs))}
-	for i, g := range gs {
-		lbl := preds[i]
-		row := LabelsRow{
-			Name:     g.Name,
-			Nodes:    g.NumNodes(),
-			Edges:    g.NumEdges(),
-			Order:    lbl.Order,
-			Spatial:  lbl.Spatial,
-			Temporal: lbl.Temporal,
+	parallel.ForEach(workers, n, func(i int) {
+		items[i].row, items[i].err = labelsRow(m, items[i].g)
+	})
+	resp := LabelsResponse{Arch: ar.Name(), Labels: make([]LabelsRow, n)}
+	for i, it := range items {
+		if it.err != nil {
+			// The only failure is scale-vector version skew — a broken model
+			// artifact, squarely a server-side error.
+			s.fail(w, route, http.StatusInternalServerError, "%v", it.err)
+			return
 		}
-		for p, v := range lbl.SameLevel {
-			row.SameLevel = append(row.SameLevel, SameLevelEntry{A: p.A, B: p.B, Value: v})
-		}
-		sort.Slice(row.SameLevel, func(a, b int) bool {
-			if row.SameLevel[a].A != row.SameLevel[b].A {
-				return row.SameLevel[a].A < row.SameLevel[b].A
-			}
-			return row.SameLevel[a].B < row.SameLevel[b].B
-		})
-		resp.Labels[i] = row
+		resp.Labels[i] = it.row
 	}
 	s.metrics.Request(route, http.StatusOK)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// labelsGraph resolves the i-th DFG of a labels request: kernels first, then
+// inline DFGs, which are untrusted and so structurally validated and
+// size-capped like /v1/map uploads.
+func (s *Server) labelsGraph(req *LabelsRequest, i int) (*dfg.Graph, error) {
+	if i < len(req.Kernels) {
+		return kernels.ByName(req.Kernels[i])
+	}
+	i -= len(req.Kernels)
+	g, err := dfg.ReadJSON(bytes.NewReader(req.DFGs[i]))
+	if err == nil {
+		err = g.CheckSize(s.cfg.MaxDFGNodes, s.cfg.MaxDFGEdges)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dfgs[%d]: %w", i, err)
+	}
+	return g, nil
+}
+
+// labelsRow predicts g's labels with m and lays them out as a response row.
+// The same-level entries follow attr's pair order, which is ascending
+// (A, B).
+func labelsRow(m *gnn.Model, g *dfg.Graph) (LabelsRow, error) {
+	set := attr.Generate(g)
+	lbl, err := m.Predict(set)
+	if err != nil {
+		return LabelsRow{}, err
+	}
+	row := LabelsRow{
+		Name:     g.Name,
+		Nodes:    g.NumNodes(),
+		Edges:    g.NumEdges(),
+		Order:    lbl.Order,
+		Spatial:  lbl.Spatial,
+		Temporal: lbl.Temporal,
+	}
+	if len(set.DummyPairs) > 0 {
+		row.SameLevel = make([]SameLevelEntry, len(set.DummyPairs))
+		for i, p := range set.DummyPairs {
+			row.SameLevel[i] = SameLevelEntry{A: p.A, B: p.B, Value: lbl.SameLevel[p]}
+		}
+	}
+	return row, nil
 }
 
 // ArchInfo is one /v1/archs row.

@@ -145,20 +145,59 @@ func TestMapInlineDFGMatchesKernel(t *testing.T) {
 	if err := kernels.MustByName("gemm").WriteJSON(&dfgJSON); err != nil {
 		t.Fatal(err)
 	}
-	inline := postMap(t, h, fmt.Sprintf(`{"dfg":%s,"arch":"cgra-4x4","engine":"sa","seed":7}`, dfgJSON.String()))
+	inlineReq := fmt.Sprintf(`{"dfg":%s,"arch":"cgra-4x4","engine":"sa","seed":7}`, dfgJSON.String())
+	inline := postMap(t, h, inlineReq)
 	if inline.Code != http.StatusOK {
 		t.Fatalf("inline DFG status %d: %s", inline.Code, inline.Body)
 	}
-	// Content addressing: the equivalent named-kernel request must hit.
+	// The body names the kernel it answers, so the named request keys on
+	// its name and misses — and maps the same DFG to the same result.
 	named := postMap(t, h, `{"kernel":"gemm","arch":"cgra-4x4","engine":"sa","seed":7}`)
-	if got := named.Header().Get("X-Lisa-Cache"); got != "hit" {
-		t.Fatalf("named kernel after inline DFG: X-Lisa-Cache = %q, want hit", got)
+	if got := named.Header().Get("X-Lisa-Cache"); named.Code != http.StatusOK || got != "miss" {
+		t.Fatalf("named kernel after inline DFG: status %d, X-Lisa-Cache = %q, want 200 miss", named.Code, got)
 	}
 	var a, b MapResponse
-	json.Unmarshal(inline.Body.Bytes(), &a)
-	json.Unmarshal(named.Body.Bytes(), &b)
-	if a.Result.II != b.Result.II {
-		t.Fatalf("inline II=%d, named II=%d", a.Result.II, b.Result.II)
+	if err := json.Unmarshal(inline.Body.Bytes(), &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(named.Body.Bytes(), &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Kernel != "" || b.Kernel != "gemm" {
+		t.Fatalf("kernel fields %q and %q, want empty and gemm", a.Kernel, b.Kernel)
+	}
+	ra, _ := json.Marshal(a.Result)
+	rb, _ := json.Marshal(b.Result)
+	if !bytes.Equal(ra, rb) {
+		t.Fatalf("inline and named results differ:\n%s\n%s", ra, rb)
+	}
+	// Content addressing: the same DFG uploaded again hits, byte for byte.
+	again := postMap(t, h, inlineReq)
+	if got := again.Header().Get("X-Lisa-Cache"); got != "hit" || !bytes.Equal(again.Body.Bytes(), inline.Body.Bytes()) {
+		t.Fatalf("inline DFG again: X-Lisa-Cache = %q, identical body %v", got, bytes.Equal(again.Body.Bytes(), inline.Body.Bytes()))
+	}
+}
+
+// gemm and syrk canonicalize to the same DFG at unroll 1, 2 and 4. Each
+// must still miss on first request and get a body naming its own kernel,
+// not the other's cached one.
+func TestMapKernelsSharingACanonicalDFGKeySeparately(t *testing.T) {
+	s := testServer(t, Config{})
+	h := s.Handler()
+	for _, unroll := range []int{1, 2, 4} {
+		for _, k := range []string{"gemm", "syrk"} {
+			w := postMap(t, h, fmt.Sprintf(`{"kernel":%q,"unroll":%d,"arch":"cgra-4x4","engine":"sa","seed":3,"maxMoves":200}`, k, unroll))
+			if got := w.Header().Get("X-Lisa-Cache"); w.Code != http.StatusOK || got != "miss" {
+				t.Fatalf("%s unroll %d: status %d, X-Lisa-Cache = %q, want 200 miss: %s", k, unroll, w.Code, got, w.Body)
+			}
+			var resp MapResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Kernel != k {
+				t.Fatalf("%s unroll %d: body names kernel %q", k, unroll, resp.Kernel)
+			}
+		}
 	}
 }
 

@@ -171,8 +171,8 @@ func (f *Framework) DeriveLabels(g *Graph) (*Labels, error) {
 	return labels.Initial(dfg.Analyze(g)), nil
 }
 
-// DeriveLabelsBatch predicts labels for many DFGs in one fused, batched
-// inference pass (byte-identical to per-DFG DeriveLabels).
+// DeriveLabelsBatch predicts labels for many DFGs in order, each exactly
+// as DeriveLabels would.
 func (f *Framework) DeriveLabelsBatch(gs []*Graph) ([]*Labels, error) {
 	if f.Model == nil {
 		out := make([]*Labels, len(gs))

@@ -11,8 +11,9 @@
 # BenchmarkGNNInference is the fused no-tape Predict on the gemm kernel — the
 # serving hot path. BenchmarkGNNInferenceTaped is the taped reference forward
 # pass it replaced, measured in the same run so the ratio is machine-neutral.
-# BenchmarkGNNInferenceBatch8 packs eight PolyBench kernels into one
-# PredictBatch call.
+# BenchmarkGNNInferenceBatch8 is one PredictBatch call over eight PolyBench
+# kernels, which is eight Predict calls in a row: set against eight times the
+# gemm-only fused number it shows what the larger kernels cost.
 #
 # The alloc ceiling is loose (~3x the fused steady state, still >5x below the
 # taped path) so the gate catches a real regression — an op that starts taping
@@ -40,7 +41,8 @@ field() { # field <line> <unit>
   echo "$1" | awk -v unit="$2" '{for (i=1;i<=NF;i++) if ($(i+1)==unit) printf "%d", $i}'
 }
 
-fused_line=$(echo "$raw" | grep '^BenchmarkGNNInference ')
+# The name carries a -GOMAXPROCS suffix whenever GOMAXPROCS > 1.
+fused_line=$(echo "$raw" | grep -E '^BenchmarkGNNInference(-[0-9]+)?[[:space:]]')
 taped_line=$(echo "$raw" | grep '^BenchmarkGNNInferenceTaped')
 batch_line=$(echo "$raw" | grep '^BenchmarkGNNInferenceBatch8')
 
