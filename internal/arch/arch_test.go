@@ -22,14 +22,29 @@ func TestPaperTargetsValid(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, n := range Names() {
+	targets := PaperTargets()
+	names := Names()
+	if len(names) != len(targets) {
+		t.Fatalf("Names() has %d entries, PaperTargets() %d", len(names), len(targets))
+	}
+	for i, n := range names {
 		a, ok := ByName(n)
 		if !ok || a.Name() != n {
 			t.Errorf("ByName(%q) failed", n)
+			continue
+		}
+		if targets[i].Name() != n {
+			t.Errorf("Names()[%d] = %q, PaperTargets()[%d] is %q", i, n, i, targets[i].Name())
+		}
+		// Every lookup returns its own value: callers may not share one.
+		if b, _ := ByName(n); a == b {
+			t.Errorf("ByName(%q) returned the same value twice", n)
 		}
 	}
-	if _, ok := ByName("nonexistent"); ok {
-		t.Error("ByName should fail for unknown arch")
+	for _, n := range []string{"nonexistent", "", "CGRA-4X4", "cgra-4x4 "} {
+		if a, ok := ByName(n); ok || a != nil {
+			t.Errorf("ByName(%q) = %v, %v; want nil, false", n, a, ok)
+		}
 	}
 }
 

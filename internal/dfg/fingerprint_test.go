@@ -1,6 +1,10 @@
 package dfg
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -65,4 +69,51 @@ func TestCanonicalStringShape(t *testing.T) {
 	if g.CanonicalString() != s {
 		t.Fatal("canonical encoding not stable across calls")
 	}
+}
+
+// fprintfCanonical is the original fmt-based canonical encoder, kept as the
+// oracle: every cached mapping result is addressed by these exact bytes, so
+// AppendCanonical may never drift from them.
+func fprintfCanonical(w io.Writer, g *Graph) {
+	fmt.Fprintf(w, "dfg/v1 n=%d e=%d\n", len(g.Nodes), len(g.Edges))
+	for i, n := range g.Nodes {
+		fmt.Fprintf(w, "n%d %s\n", i, n.Op)
+	}
+	for i, e := range g.Edges {
+		fmt.Fprintf(w, "e%d %d>%d\n", i, e.From, e.To)
+	}
+}
+
+func TestAppendCanonicalMatchesFprintfEncoding(t *testing.T) {
+	check := func(t *testing.T, g *Graph) {
+		t.Helper()
+		var want bytes.Buffer
+		fprintfCanonical(&want, g)
+		if got := g.AppendCanonical(nil); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("AppendCanonical drifted from the fmt encoding:\n got %q\nwant %q", got, want.Bytes())
+		}
+		// Appending must extend, never clobber, what the buffer holds.
+		prefix := []byte("prefix\n")
+		if got := g.AppendCanonical(append([]byte(nil), prefix...)); !bytes.Equal(got, append(prefix, want.Bytes()...)) {
+			t.Fatal("AppendCanonical does not append to its argument")
+		}
+		var w bytes.Buffer
+		if err := g.WriteCanonical(&w); err != nil || !bytes.Equal(w.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteCanonical = %q, %v", w.Bytes(), err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultRandomConfig()
+	cfg.MaxNodes = 120 // multi-digit indices on both sides of every edge
+	for i := 0; i < 300; i++ {
+		check(t, Random(rng, cfg, fmt.Sprintf("r%d", i)))
+	}
+	// The empty graph and an out-of-range op kind (whose mnemonic falls
+	// back to "op(N)") take the rarely exercised paths.
+	check(t, New("empty"))
+	odd := New("odd")
+	odd.AddNode("x", OpKind(200))
+	odd.AddNode("y", OpSelect)
+	odd.AddEdge(0, 1)
+	check(t, odd)
 }

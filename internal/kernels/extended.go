@@ -13,13 +13,6 @@ func ExtendedNames() []string {
 	return []string{"jacobi1d", "gemver", "cholesky", "stencil2d"}
 }
 
-func init() {
-	registry["jacobi1d"] = jacobi1d
-	registry["gemver"] = gemver
-	registry["cholesky"] = cholesky
-	registry["stencil2d"] = stencil2d
-}
-
 // jacobi1d: B[i] = 0.33 * (A[i-1] + A[i] + A[i+1]).
 func jacobi1d() *dfg.Graph {
 	b := dfg.NewBuilder("jacobi1d")

@@ -17,6 +17,7 @@ package kernels
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/lisa-go/lisa/internal/dfg"
 )
@@ -39,28 +40,92 @@ func UnrolledNames8x8() []string {
 	return []string{"gemm", "atax", "bicg", "mvt", "symm", "syrk", "2mm", "doitgen"}
 }
 
-var registry = map[string]func() *dfg.Graph{
-	"gemm":    gemm,
-	"atax":    atax,
-	"bicg":    bicg,
-	"mvt":     mvt,
-	"gesummv": gesummv,
-	"symm":    symm,
-	"syrk":    syrk,
-	"syr2k":   syr2k,
-	"trmm":    trmm,
-	"2mm":     k2mm,
-	"3mm":     k3mm,
-	"doitgen": doitgen,
+// registry holds every built-in kernel: the paper's twelve and the
+// extended four (extended.go).
+var registry = map[string]*Kernel{
+	"gemm":    {build: gemm},
+	"atax":    {build: atax},
+	"bicg":    {build: bicg},
+	"mvt":     {build: mvt},
+	"gesummv": {build: gesummv},
+	"symm":    {build: symm},
+	"syrk":    {build: syrk},
+	"syr2k":   {build: syr2k},
+	"trmm":    {build: trmm},
+	"2mm":     {build: k2mm},
+	"3mm":     {build: k3mm},
+	"doitgen": {build: doitgen},
+
+	"jacobi1d":  {build: jacobi1d},
+	"gemver":    {build: gemver},
+	"cholesky":  {build: cholesky},
+	"stencil2d": {build: stencil2d},
+}
+
+// MemoUnroll is the largest unroll factor whose canonical bytes
+// Kernel.Canonical memoizes. It matches lisa-serve's default unroll cap, so
+// a default server never encodes a built-in kernel shape twice.
+const MemoUnroll = 8
+
+// Kernel is one built-in kernel: its builder and, per unroll factor 1 to
+// MemoUnroll, its canonical bytes once first asked for.
+type Kernel struct {
+	build func() *dfg.Graph
+	canon [MemoUnroll]atomic.Pointer[[]byte]
+}
+
+// Lookup resolves a built-in kernel by name.
+func Lookup(name string) (*Kernel, error) {
+	k, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("kernels: unknown kernel %q (have %v)", name, Names())
+	}
+	return k, nil
+}
+
+// Build builds a fresh copy of the kernel's DFG unrolled by factor (<= 1:
+// as built).
+func (k *Kernel) Build(factor int) *dfg.Graph {
+	g := k.build()
+	if factor > 1 {
+		g = dfg.Unroll(g, factor)
+	}
+	return g
+}
+
+// Canonical returns the canonical encoding (dfg.(*Graph).AppendCanonical)
+// of Build(factor) without building the graph again: factors up to
+// MemoUnroll are encoded on first use and memoized, so a later call is an
+// atomic load that allocates nothing. Larger factors are encoded afresh on
+// every call, which keeps the memo bounded. Canonical is safe for
+// concurrent use; racing first calls may each encode the kernel, but all
+// of them return the one copy that was stored. The returned bytes are
+// shared and must not be modified.
+//
+//lisa:hotpath every named-kernel /v1/map request keys on these bytes instead of building its DFG
+func (k *Kernel) Canonical(factor int) []byte {
+	if factor < 1 {
+		factor = 1
+	}
+	if factor > MemoUnroll {
+		return k.Build(factor).AppendCanonical(nil)
+	}
+	slot := &k.canon[factor-1]
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	b := k.Build(factor).AppendCanonical(nil)
+	slot.CompareAndSwap(nil, &b)
+	return *slot.Load()
 }
 
 // ByName builds a fresh copy of the named kernel DFG.
 func ByName(name string) (*dfg.Graph, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("kernels: unknown kernel %q (have %v)", name, Names())
+	k, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return f(), nil
+	return k.Build(1), nil
 }
 
 // MustByName is ByName for known-good names (panics otherwise).
@@ -74,11 +139,11 @@ func MustByName(name string) *dfg.Graph {
 
 // Unrolled returns the factor-2 unrolled version of the named kernel.
 func Unrolled(name string) (*dfg.Graph, error) {
-	g, err := ByName(name)
+	k, err := Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return dfg.Unroll(g, 2), nil
+	return k.Build(2), nil
 }
 
 // All builds every kernel, sorted by name (for deterministic iteration).

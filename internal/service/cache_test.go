@@ -130,16 +130,17 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 func TestCacheKeyDiscriminates(t *testing.T) {
 	gemm := kernels.MustByName("gemm")
 	atax := kernels.MustByName("atax")
-	base := cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
+	base := cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, false)
 
 	variants := map[string]string{
-		"arch":     cacheKey(gemm, "", "cgra-8x8", engine.SA, mapper.Options{Seed: 1}, 0),
-		"engine":   cacheKey(gemm, "", "cgra-4x4", engine.LISA, mapper.Options{Seed: 1}, 0),
-		"seed":     cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 2}, 0),
-		"moves":    cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1, MaxMoves: 9}, 0),
-		"deadline": cacheKey(gemm, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 5000),
-		"dfg":      cacheKey(atax, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0),
-		"kernel":   cacheKey(gemm, "gemm", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0),
+		"arch":     cacheKey(gemm.AppendCanonical(nil), "", "cgra-8x8", engine.SA, mapper.Options{Seed: 1}, 0, false),
+		"engine":   cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.LISA, mapper.Options{Seed: 1}, 0, false),
+		"seed":     cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 2}, 0, false),
+		"moves":    cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1, MaxMoves: 9}, 0, false),
+		"deadline": cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 5000, false),
+		"dfg":      cacheKey(atax.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, false),
+		"kernel":   cacheKey(gemm.AppendCanonical(nil), "gemm", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, false),
+		"stats":    cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, true),
 	}
 	for what, key := range variants {
 		if key == base {
@@ -150,13 +151,13 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	// Normalization: zero knobs and explicit defaults share an entry.
 	def := mapper.DefaultOptions()
 	def.Seed = 1
-	if cacheKey(gemm, "", "cgra-4x4", engine.SA, def, 0) != base {
+	if cacheKey(gemm.AppendCanonical(nil), "", "cgra-4x4", engine.SA, def, 0, false) != base {
 		t.Error("explicit default options hash differently from zero options")
 	}
 	// Graph names never reach the key.
 	renamed := kernels.MustByName("gemm")
 	renamed.Name = "whatever"
-	if cacheKey(renamed, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0) != base {
+	if cacheKey(renamed.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, false) != base {
 		t.Error("cache key depends on the graph name")
 	}
 }
@@ -173,8 +174,8 @@ func TestCacheKeyContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := cacheKey(g, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
-	b := cacheKey(back, "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0)
+	a := cacheKey(g.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, false)
+	b := cacheKey(back.AppendCanonical(nil), "", "cgra-4x4", engine.SA, mapper.Options{Seed: 1}, 0, false)
 	if a != b {
 		t.Fatalf("kernel and round-tripped DFG hash differently:\n%s\n%s",
 			fmt.Sprintf("%.16s", a), fmt.Sprintf("%.16s", b))

@@ -411,14 +411,28 @@ func (s *Server) failErr(w http.ResponseWriter, route string, status int, err er
 
 // mapJob is one fully validated mapping request: everything execute needs,
 // plus the exact request bytes so a proxy hop replays the request verbatim.
+// Exactly one of kernel and g is set; graph turns either into the DFG a
+// mapping run works on.
 type mapJob struct {
 	req     MapRequest
 	raw     []byte
 	ar      arch.Arch
 	eng     engine.Name
-	g       *dfg.Graph
+	kernel  *kernels.Kernel // a named kernel, built only by graph
+	g       *dfg.Graph      // an inline DFG, decoded (and unrolled) by prepare
 	mapOpts mapper.Options
 	key     string
+}
+
+// graph returns the DFG a mapping run works on: the decoded inline DFG, or
+// a fresh build of the named kernel. It is the only place a named kernel's
+// graph is built, and only runMapping calls it, so a request answered from
+// L1 or the store never builds one and no graph is shared between requests.
+func (j *mapJob) graph() *dfg.Graph {
+	if j.kernel != nil {
+		return j.kernel.Build(j.req.Unroll)
+	}
+	return j.g
 }
 
 // mapOutcome is how one mapping request was answered: the flight result
@@ -430,8 +444,9 @@ type mapOutcome struct {
 }
 
 // prepare validates raw as a MapRequest and resolves everything derived
-// from it — architecture, engine, graph, normalized options, cache key.
-// Every error is a client error (HTTP 400).
+// from it — architecture, engine, DFG, normalized options, cache key.
+// Every error is a client error (HTTP 400). A named kernel's key comes from
+// its memoized canonical bytes, so prepare builds no graph for it.
 func (s *Server) prepare(raw []byte) (*mapJob, error) {
 	job := &mapJob{raw: raw}
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -453,8 +468,7 @@ func (s *Server) prepare(raw []byte) (*mapJob, error) {
 			return nil, err
 		}
 	}
-	var err error
-	job.g, err = s.requestGraph(&job.req)
+	canon, err := s.requestDFG(job)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +500,7 @@ func (s *Server) prepare(raw []byte) (*mapJob, error) {
 	}
 	job.mapOpts.TimeLimit = deadline
 
-	job.key = cacheKey(job.g, job.req.Kernel, ar.Name(), job.eng, job.mapOpts, deadline.Milliseconds())
+	job.key = cacheKey(canon, job.req.Kernel, ar.Name(), job.eng, job.mapOpts, deadline.Milliseconds(), job.req.Stats)
 	return job, nil
 }
 
@@ -664,7 +678,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // runs to completion once admitted so followers and the cache see the
 // result even if the leading client disconnects.
 func (s *Server) runMapping(job *mapJob) flightResult {
-	key, ar, g, eng, mapOpts := job.key, job.ar, job.g, job.eng, job.mapOpts
+	key, ar, g, eng, mapOpts := job.key, job.ar, job.graph(), job.eng, job.mapOpts
 	ilpOpts := s.cfg.ILPOpts
 	if eng == engine.ILP && mapOpts.TimeLimit > 0 && (ilpOpts.TimeLimitPerII <= 0 || ilpOpts.TimeLimitPerII > mapOpts.TimeLimit) {
 		ilpOpts.TimeLimitPerII = mapOpts.TimeLimit
@@ -757,46 +771,59 @@ func (s *Server) runMapping(job *mapJob) flightResult {
 	return flightResult{body: body, status: http.StatusOK, noStore: true}
 }
 
-// requestGraph resolves the request's DFG: a named kernel or an inline DFG
-// document, then optional unrolling. Inline DFGs are untrusted input: they
-// are structurally validated (ReadJSON) and size-capped, both as uploaded
-// and after unrolling — mapper state grows superlinearly with graph size,
-// so an unbounded upload is a memory bomb. Built-in kernels are trusted
-// and exempt from the size caps (but not the unroll cap).
-func (s *Server) requestGraph(req *MapRequest) (*dfg.Graph, error) {
+// requestDFG resolves the request's DFG, a named kernel or an inline DFG
+// document, with optional unrolling, and returns its canonical bytes.
+//
+// A named kernel is trusted: it is exempt from the size caps (but not the
+// unroll cap), its bytes come from the kernels memo, and its graph is left
+// for mapJob.graph to build. An inline DFG is untrusted input: it is
+// structurally validated (ReadJSON) and size-capped, both as uploaded and
+// after unrolling — mapper state grows superlinearly with graph size, so an
+// unbounded upload is a memory bomb — and the decoded graph stays on the
+// job.
+func (s *Server) requestDFG(job *mapJob) ([]byte, error) {
+	req := &job.req
 	if (req.Kernel == "") == (len(req.DFG) == 0) {
 		return nil, errors.New("exactly one of \"kernel\" and \"dfg\" must be set")
 	}
-	var g *dfg.Graph
 	if req.Kernel != "" {
-		var err error
-		g, err = kernels.ByName(req.Kernel)
+		k, err := kernels.Lookup(req.Kernel)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		var err error
-		g, err = dfg.ReadJSON(bytes.NewReader(req.DFG))
-		if err != nil {
+		if err := s.checkUnroll(req.Unroll); err != nil {
 			return nil, err
 		}
+		job.kernel = k
+		return k.Canonical(req.Unroll), nil
+	}
+	g, err := dfg.ReadJSON(bytes.NewReader(req.DFG))
+	if err != nil {
+		return nil, err
+	}
+	if err := g.CheckSize(s.cfg.MaxDFGNodes, s.cfg.MaxDFGEdges); err != nil {
+		return nil, err
+	}
+	if err := s.checkUnroll(req.Unroll); err != nil {
+		return nil, err
+	}
+	if req.Unroll > 1 {
+		g = dfg.Unroll(g, req.Unroll)
 		if err := g.CheckSize(s.cfg.MaxDFGNodes, s.cfg.MaxDFGEdges); err != nil {
 			return nil, err
 		}
 	}
-	if req.Unroll > 1 {
-		if s.cfg.MaxUnroll > 0 && req.Unroll > s.cfg.MaxUnroll {
-			return nil, &dfg.DefectError{Kind: dfg.DefectTooLarge,
-				Msg: fmt.Sprintf("unroll factor %d exceeds the limit of %d", req.Unroll, s.cfg.MaxUnroll)}
-		}
-		g = dfg.Unroll(g, req.Unroll)
-		if req.Kernel == "" {
-			if err := g.CheckSize(s.cfg.MaxDFGNodes, s.cfg.MaxDFGEdges); err != nil {
-				return nil, err
-			}
-		}
+	job.g = g
+	return g.AppendCanonical(nil), nil
+}
+
+// checkUnroll enforces Config.MaxUnroll on a request's unroll factor.
+func (s *Server) checkUnroll(factor int) error {
+	if s.cfg.MaxUnroll > 0 && factor > s.cfg.MaxUnroll {
+		return &dfg.DefectError{Kind: dfg.DefectTooLarge,
+			Msg: fmt.Sprintf("unroll factor %d exceeds the limit of %d", factor, s.cfg.MaxUnroll)}
 	}
-	return g, nil
+	return nil
 }
 
 // maxLabelBatch caps the number of DFGs per /v1/labels request. Each DFG
