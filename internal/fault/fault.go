@@ -40,16 +40,16 @@ type Site string
 
 // The instrumented sites of the mapping pipeline.
 const (
-	RegistryLoad   Site = "registry.load"   // model-file load (corrupt/unreadable model)
-	GNNTrain       Site = "gnn.train"       // lazy on-demand training run
-	MapperAnneal   Site = "mapper.anneal"   // SA-family engine invocation
-	RouterDijkstra Site = "router.dijkstra" // exact-length route search
-	CacheGet       Site = "cache.get"       // result-cache lookup
-	PoolSubmit     Site = "pool.submit"     // worker-pool admission
-	StoreRead      Site = "store.read"      // persistent result-store lookup
-	StoreWrite     Site = "store.write"     // persistent result-store write (fires as a torn write)
-	PeerRPC        Site = "peer.rpc"        // cluster peer proxy call / health probe
-	ModelFetch     Site = "model.fetch"     // trained-model fetch from a ring peer
+	RegistryLoad Site = "registry.load" // model-file load (corrupt/unreadable model)
+	GNNTrain     Site = "gnn.train"     // lazy on-demand training run
+	MapperAnneal Site = "mapper.anneal" // SA-family engine invocation
+	RouterRoute  Site = "router.route"  // exact-length route search
+	CacheGet     Site = "cache.get"     // result-cache lookup
+	PoolSubmit   Site = "pool.submit"   // worker-pool admission
+	StoreRead    Site = "store.read"    // persistent result-store lookup
+	StoreWrite   Site = "store.write"   // persistent result-store write (fires as a torn write)
+	PeerRPC      Site = "peer.rpc"      // cluster peer proxy call / health probe
+	ModelFetch   Site = "model.fetch"   // trained-model fetch from a ring peer
 	// MapperPortfolio fires per portfolio chain, streamed by the chain's
 	// derived seed: a sub-1 probability poisons a deterministic strict
 	// subset of a restart race, which must degrade to the surviving
@@ -59,7 +59,7 @@ const (
 
 // Sites lists every instrumented site in stable order.
 func Sites() []Site {
-	return []Site{RegistryLoad, GNNTrain, MapperAnneal, RouterDijkstra, CacheGet, PoolSubmit,
+	return []Site{RegistryLoad, GNNTrain, MapperAnneal, RouterRoute, CacheGet, PoolSubmit,
 		StoreRead, StoreWrite, PeerRPC, ModelFetch, MapperPortfolio}
 }
 

@@ -34,6 +34,7 @@ func TestParsePlan(t *testing.T) {
 	})
 	for _, bad := range []string{
 		"nope=error:1",                                // unknown site
+		"router.dijkstra=error:1",                     // the router site's old name
 		"mapper.anneal=boom:1",                        // unknown mode
 		"mapper.anneal=error:2",                       // probability out of range
 		"mapper.anneal=error:x",                       // unparsable probability
@@ -166,6 +167,8 @@ func TestActivateValidates(t *testing.T) {
 	defer Deactivate()
 	bad := []*Plan{
 		{Seed: 1, Sites: map[Site]SiteConfig{"nope": {Prob: 1}}},
+		// The router site's name before it was renamed router.route.
+		{Seed: 1, Sites: map[Site]SiteConfig{"router.dijkstra": {Prob: 1}}},
 		{Seed: 1, Sites: map[Site]SiteConfig{MapperAnneal: {Prob: 2}}},
 		{Seed: 1, Sites: map[Site]SiteConfig{CacheGet: {Prob: 1, Mode: ModeLatency, Latency: -1}}},
 	}

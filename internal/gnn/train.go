@@ -6,6 +6,7 @@ import (
 
 	"github.com/lisa-go/lisa/internal/attr"
 	"github.com/lisa-go/lisa/internal/labels"
+	"github.com/lisa-go/lisa/internal/parallel"
 	"github.com/lisa-go/lisa/internal/tensor"
 )
 
@@ -56,26 +57,38 @@ type TrainStats struct {
 	RestoredBest bool
 }
 
+// The four label networks, in the order of every per-label array.
+const (
+	netOrder = iota
+	netSame
+	netSpatial
+	netTemporal
+)
+
 // Train fits the four networks on samples. Each label's network trains
 // independently (the paper designs "a network for each label"); one Adam
 // step per sample per epoch.
+//
+// Each epoch runs the four per-network passes concurrently, one network per
+// task at GOMAXPROCS width. Nothing is shared between them but read-only
+// inputs: each network owns its weights and its Adam state, steps through
+// the samples in order, and sums its own loss in sample order. Its float
+// operations are therefore exactly those of a serial pass, and the weights
+// are bit-identical at any width. Validation and the best-weight snapshot
+// stay between epochs, after all four passes have finished.
 func (m *Model) Train(samples []Sample, cfg TrainConfig) TrainStats {
 	if cfg.Epochs == 0 {
 		cfg = DefaultTrainConfig()
 	}
 	m.fitScales(samples)
 
-	newOpt := func(params []*tensor.Tensor) *tensor.Adam {
-		opt := tensor.NewAdam(params)
-		opt.LR = cfg.LR
-		opt.WeightDecay = cfg.WeightDecay
-		return opt
-	}
-	opts := [4]*tensor.Adam{
-		newOpt(m.Order.Params()),
-		newOpt(m.Same.Params()),
-		newOpt(m.Spatial.Params()),
-		newOpt(m.Temporal.Params()),
+	var opts [4]*tensor.Adam
+	for k, params := range [4][]*tensor.Tensor{
+		m.Order.Params(), m.Same.Params(), m.Spatial.Params(), m.Temporal.Params(),
+	} {
+		opts[k] = tensor.NewAdam(params)
+		opts[k].LR = cfg.LR
+		opts[k].WeightDecay = cfg.WeightDecay
 	}
 
 	stats := TrainStats{NumSamples: len(samples)}
@@ -84,24 +97,28 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) TrainStats {
 	var bestSnap [][]float64 // weights at the best validation loss
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		stats.Epochs = epoch + 1
-		var sum [4]float64
-		var cnt [4]int
-		for i := range samples {
-			s := &samples[i]
-			losses := m.trainStep(s, opts)
-			for k, l := range losses {
-				if !math.IsNaN(l) {
-					sum[k] += l
-					cnt[k]++
+		var mean [4]float64
+		// The order network takes about two thirds of an epoch, so it goes
+		// first: on two cores the other three share the second.
+		parallel.ForEach(0, len(opts), func(k int) {
+			sum, cnt := 0.0, 0
+			for i := range samples {
+				loss := m.netLoss(k, &samples[i])
+				if loss == nil {
+					continue
+				}
+				opts[k].ZeroGrad()
+				tensor.Backward(loss)
+				opts[k].Step()
+				if l := loss.Data[0]; !math.IsNaN(l) {
+					sum += l
+					cnt++
 				}
 			}
-		}
-		var mean [4]float64
-		for k := range sum {
-			if cnt[k] > 0 {
-				mean[k] = sum[k] / float64(cnt[k])
+			if cnt > 0 {
+				mean[k] = sum / float64(cnt)
 			}
-		}
+		})
 		stats.FinalLoss = mean
 		if cfg.RecordHistory {
 			stats.History = append(stats.History, mean)
@@ -178,81 +195,48 @@ func (m *Model) restoreParams(buf [][]float64) {
 func (m *Model) validationLoss(samples []Sample) float64 {
 	total := 0.0
 	for i := range samples {
-		s := &samples[i]
-		g := s.Set.An.G
-		if g.NumNodes() > 0 {
-			na, asap := m.scaledNodeInputs(s.Set)
-			pred := m.Order.Forward(na, asap, undirectedNeighbors(s.Set))
-			total += tensor.MSE(pred, columnTensor(s.Lbl.Order)).Data[0]
-		}
-		if g.NumEdges() > 0 {
-			ea := m.scaledMatrix(s.Set.Edge, m.EdgeScale)
-			total += tensor.MSE(m.Spatial.Forward(ea, incidentEdges(s.Set)),
-				columnTensor(s.Lbl.Spatial)).Data[0]
-			total += tensor.MSE(m.Temporal.Forward(ea),
-				columnTensor(s.Lbl.Temporal)).Data[0]
-		}
-		if len(s.Set.DummyPairs) > 0 {
-			da := m.scaledMatrix(s.Set.Dummy, m.DummyScale)
-			vals := make([]float64, len(s.Set.DummyPairs))
-			for i, p := range s.Set.DummyPairs {
-				vals[i] = s.Lbl.SameLevel[p]
+		// The summation order (order, spatial, temporal, same-level) is part
+		// of the early-stopping decisions, so it is fixed.
+		for _, k := range [4]int{netOrder, netSpatial, netTemporal, netSame} {
+			if loss := m.netLoss(k, &samples[i]); loss != nil {
+				total += loss.Data[0]
 			}
-			total += tensor.MSE(m.Same.Forward(da), columnTensor(vals)).Data[0]
 		}
 	}
 	return total
 }
 
-// trainStep performs one optimization step per label network on one sample
-// and returns the four losses (NaN when a sample has no data for a label).
-func (m *Model) trainStep(s *Sample, opts [4]*tensor.Adam) [4]float64 {
+// netLoss runs network k forward on one sample and returns its taped MSE
+// loss, or nil when the sample has no data for that label.
+func (m *Model) netLoss(k int, s *Sample) *tensor.Tensor {
 	g := s.Set.An.G
-	losses := [4]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
-
-	if g.NumNodes() > 0 {
-		opts[0].ZeroGrad()
+	switch k {
+	case netOrder:
+		if g.NumNodes() == 0 {
+			return nil
+		}
 		na, asap := m.scaledNodeInputs(s.Set)
 		pred := m.Order.Forward(na, asap, undirectedNeighbors(s.Set))
-		target := columnTensor(s.Lbl.Order)
-		loss := tensor.MSE(pred, target)
-		tensor.Backward(loss)
-		opts[0].Step()
-		losses[0] = loss.Data[0]
-	}
-	if len(s.Set.DummyPairs) > 0 {
-		opts[1].ZeroGrad()
-		da := m.scaledMatrix(s.Set.Dummy, m.DummyScale)
-		pred := m.Same.Forward(da)
+		return tensor.MSE(pred, columnTensor(s.Lbl.Order))
+	case netSame:
+		if len(s.Set.DummyPairs) == 0 {
+			return nil
+		}
 		vals := make([]float64, len(s.Set.DummyPairs))
 		for i, p := range s.Set.DummyPairs {
 			vals[i] = s.Lbl.SameLevel[p]
 		}
-		loss := tensor.MSE(pred, columnTensor(vals))
-		tensor.Backward(loss)
-		opts[1].Step()
-		losses[1] = loss.Data[0]
+		pred := m.Same.Forward(m.scaledMatrix(s.Set.Dummy, m.DummyScale))
+		return tensor.MSE(pred, columnTensor(vals))
 	}
-	if g.NumEdges() > 0 {
-		ea := m.scaledMatrix(s.Set.Edge, m.EdgeScale)
-
-		opts[2].ZeroGrad()
-		predS := m.Spatial.Forward(ea, incidentEdges(s.Set))
-		lossS := tensor.MSE(predS, columnTensor(s.Lbl.Spatial))
-		tensor.Backward(lossS)
-		opts[2].Step()
-		losses[2] = lossS.Data[0]
-
-		opts[3].ZeroGrad()
-		// Rebuild the input: the previous backward taped through ea.
-		ea2 := m.scaledMatrix(s.Set.Edge, m.EdgeScale)
-		predT := m.Temporal.Forward(ea2)
-		lossT := tensor.MSE(predT, columnTensor(s.Lbl.Temporal))
-		tensor.Backward(lossT)
-		opts[3].Step()
-		losses[3] = lossT.Data[0]
+	if g.NumEdges() == 0 {
+		return nil
 	}
-	return losses
+	ea := m.scaledMatrix(s.Set.Edge, m.EdgeScale)
+	if k == netSpatial {
+		return tensor.MSE(m.Spatial.Forward(ea, incidentEdges(s.Set)), columnTensor(s.Lbl.Spatial))
+	}
+	return tensor.MSE(m.Temporal.Forward(ea), columnTensor(s.Lbl.Temporal))
 }
 
 // fitScales computes per-column max-abs scalers over the training set.

@@ -10,6 +10,7 @@ import (
 	"github.com/lisa-go/lisa/internal/arch"
 	"github.com/lisa-go/lisa/internal/dfg"
 	"github.com/lisa-go/lisa/internal/labels"
+	"github.com/lisa-go/lisa/internal/rgraph"
 )
 
 // buildAnnealState mirrors the anneal prologue on a random kernel: fresh
@@ -28,6 +29,37 @@ func buildAnnealState(t testing.TB, gseed, seed int64, cfg config) *state {
 	st.routePending()
 	st.initialPhase = false
 	return st
+}
+
+// snapshot is a deep clone of the mutable state, the reference rollback
+// path for the differential tests and the snapshot benchmarks.
+type snapshot struct {
+	occ    *rgraph.Occupancy
+	pe     []int
+	time   []int
+	routes [][]int
+	tally  costTally
+}
+
+// save deep-clones the mutable state — the pre-undo-log rollback mechanism.
+// Production rollback goes through beginTxn/rollbackTxn; the differential
+// test asserts both paths restore identical state.
+func (st *state) save() snapshot {
+	return snapshot{
+		occ:    st.occ.Clone(),
+		pe:     append([]int(nil), st.pe...),
+		time:   append([]int(nil), st.time...),
+		routes: append([][]int(nil), st.routes...),
+		tally:  st.tally,
+	}
+}
+
+func (st *state) restore(s snapshot) {
+	st.occ = s.occ
+	st.pe = s.pe
+	st.time = s.time
+	st.routes = s.routes
+	st.tally = s.tally
 }
 
 // statesEqual compares a live state against a deep-clone snapshot: placement

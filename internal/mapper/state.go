@@ -380,8 +380,8 @@ func (st *state) routingCost() int {
 // beginTxn arms the undo logs; commitTxn discards them; rollbackTxn replays
 // them in reverse, restoring exactly the pe/time/routes entries and
 // occupancy cells the movement touched. The deep-clone snapshot (save/
-// restore below) survives purely as the reference path for differential
-// tests and the snapshot benchmarks.
+// restore in incremental_test.go) survives purely as the reference path for
+// differential tests and the snapshot benchmarks.
 
 func (st *state) beginTxn() {
 	st.txnActive = true
@@ -480,37 +480,6 @@ func (st *state) clearRoute(e int) {
 		st.tally.failed++
 	}
 	st.routes[e] = nil
-}
-
-// --- reference snapshot (differential tests and benchmarks only) ----------
-
-type snapshot struct {
-	occ    *rgraph.Occupancy
-	pe     []int
-	time   []int
-	routes [][]int
-	tally  costTally
-}
-
-// save deep-clones the mutable state — the pre-undo-log rollback mechanism.
-// Production rollback goes through beginTxn/rollbackTxn; the differential
-// test asserts both paths restore identical state.
-func (st *state) save() snapshot {
-	return snapshot{
-		occ:    st.occ.Clone(),
-		pe:     append([]int(nil), st.pe...),
-		time:   append([]int(nil), st.time...),
-		routes: append([][]int(nil), st.routes...),
-		tally:  st.tally,
-	}
-}
-
-func (st *state) restore(s snapshot) {
-	st.occ = s.occ
-	st.pe = s.pe
-	st.time = s.time
-	st.routes = s.routes
-	st.tally = s.tally
 }
 
 // fuOf returns the FU resource node of a placed DFG node.
@@ -834,10 +803,10 @@ func (st *state) routePending() {
 // routeEdge routes one edge with the 0-1 BFS router (Algorithm 1 line 11);
 // the hop count is fixed by the endpoints' schedule times.
 func (st *state) routeEdge(e int) bool {
-	// Fault site router.dijkstra: an injected error fails the route and
+	// Fault site router.route: an injected error fails the route and
 	// aborts the sweep (Map surfaces st.faultErr), so the engine ladder can
 	// substitute a fallback; disabled, this is one atomic load.
-	if err := fault.Inject(fault.RouterDijkstra, st.faultToken); err != nil {
+	if err := fault.Inject(fault.RouterRoute, st.faultToken); err != nil {
 		if st.faultErr == nil {
 			st.faultErr = err
 		}

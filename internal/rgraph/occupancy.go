@@ -16,6 +16,12 @@ func opSignal(dfgNode int) Signal { return Signal(-1 - dfgNode) }
 // (re-entering a node already carrying the same signal is free), and
 // reference-counted release so overlapping routes unwind correctly.
 //
+// The layout is dense: node n owns the Cap slots starting at cell[n].base of
+// one flat (signal, refcount) array, and its first cell[n].n slots hold its
+// distinct signals. A capacity question is a count compare before any scan,
+// and the router's neighbour checks touch two small arrays instead of one
+// slice header per node.
+//
 // For speculative mutation (the annealer's movement loop) it offers an undo
 // journal: between BeginJournal and RollbackJournal every Use/Release —
 // including those issued through PlaceOp/RemoveOp/Commit/Uncommit — is
@@ -25,18 +31,21 @@ func opSignal(dfgNode int) Signal { return Signal(-1 - dfgNode) }
 // Clone is retained as the reference snapshot path for differential tests
 // and benchmarks.
 type Occupancy struct {
-	g *Graph
-	// occ[node] lists (signal, refcount) pairs; nodes carry few signals so a
-	// small slice beats a map.
-	occ [][]sigRef
+	cell  []occCell // per node: slot base, distinct-signal count, capacity
+	slots []sigRef  // every node's slots, back to back
 
 	journaling bool
 	journal    []journalOp
 }
 
+// occCell locates one node's slots; n of its cap slots are in use.
+type occCell struct {
+	base, n, cap int32
+}
+
 type sigRef struct {
 	sig Signal
-	ref int
+	ref int32
 }
 
 // journalOp records one Use (release=false) or Release (release=true).
@@ -48,50 +57,71 @@ type journalOp struct {
 
 // NewOccupancy creates an empty occupancy table for g.
 func NewOccupancy(g *Graph) *Occupancy {
-	return &Occupancy{g: g, occ: make([][]sigRef, g.NumNodes())}
+	cell := make([]occCell, g.NumNodes())
+	total := int32(0)
+	for i := range cell {
+		c := int32(g.Nodes[i].Cap)
+		cell[i] = occCell{base: total, cap: c}
+		total += c
+	}
+	return &Occupancy{cell: cell, slots: make([]sigRef, total)}
 }
 
-// Clone returns a deep copy (used by movement rollback in SA).
+// Clone returns a deep copy.
 func (o *Occupancy) Clone() *Occupancy {
-	c := &Occupancy{g: o.g, occ: make([][]sigRef, len(o.occ))}
-	for i, s := range o.occ {
-		if len(s) > 0 {
-			c.occ[i] = append([]sigRef(nil), s...)
-		}
+	return &Occupancy{
+		cell:  append([]occCell(nil), o.cell...),
+		slots: append([]sigRef(nil), o.slots...),
 	}
-	return c
 }
 
 // Reset clears all occupancy.
 func (o *Occupancy) Reset() {
-	for i := range o.occ {
-		o.occ[i] = o.occ[i][:0]
+	for i := range o.cell {
+		o.cell[i].n = 0
 	}
 }
 
-// distinct returns the number of distinct signals at node n.
-func (o *Occupancy) distinct(n int) int { return len(o.occ[n]) }
+// held returns node n's occupied slots.
+func (o *Occupancy) held(n int) []sigRef {
+	c := o.cell[n]
+	return o.slots[c.base : c.base+c.n]
+}
 
-// CanEnter reports whether signal sig may use node n: either n already
-// carries sig, or n has spare capacity.
-func (o *Occupancy) CanEnter(n int, sig Signal) bool {
-	for _, r := range o.occ[n] {
-		if r.sig == sig {
-			return true
+// find returns the slot index of sig at node n, or -1.
+func (o *Occupancy) find(n int, sig Signal) int32 {
+	c := o.cell[n]
+	for i := c.base; i < c.base+c.n; i++ {
+		if o.slots[i].sig == sig {
+			return i
 		}
 	}
-	return o.distinct(n) < o.g.Nodes[n].Cap
+	return -1
+}
+
+// CanEnter reports whether signal sig may use node n: either n has spare
+// capacity, or n already carries sig.
+func (o *Occupancy) CanEnter(n int, sig Signal) bool {
+	c := o.cell[n]
+	return c.n < c.cap || o.find(n, sig) >= 0
+}
+
+// enterCost classifies entering node n with sig for the router: 0 when n
+// already carries sig (free), 1 when n has a spare slot (fresh), and -1 when
+// n is full of other signals (blocked). One scan answers what CanEnter and
+// Carries would ask separately.
+func (o *Occupancy) enterCost(n int, sig Signal) int32 {
+	switch c := o.cell[n]; {
+	case o.find(n, sig) >= 0:
+		return 0
+	case c.n < c.cap:
+		return 1
+	}
+	return -1
 }
 
 // Carries reports whether node n currently carries signal sig.
-func (o *Occupancy) Carries(n int, sig Signal) bool {
-	for _, r := range o.occ[n] {
-		if r.sig == sig {
-			return true
-		}
-	}
-	return false
-}
+func (o *Occupancy) Carries(n int, sig Signal) bool { return o.find(n, sig) >= 0 }
 
 // Use records one use of sig at node n. It panics if the capacity rule would
 // be violated; callers must check CanEnter first.
@@ -103,16 +133,16 @@ func (o *Occupancy) Use(n int, sig Signal) {
 }
 
 func (o *Occupancy) use(n int, sig Signal) {
-	for i := range o.occ[n] {
-		if o.occ[n][i].sig == sig {
-			o.occ[n][i].ref++
-			return
-		}
+	if i := o.find(n, sig); i >= 0 {
+		o.slots[i].ref++
+		return
 	}
-	if o.distinct(n) >= o.g.Nodes[n].Cap {
+	c := &o.cell[n]
+	if c.n >= c.cap {
 		panic("rgraph: capacity violated")
 	}
-	o.occ[n] = append(o.occ[n], sigRef{sig: sig, ref: 1})
+	o.slots[c.base+c.n] = sigRef{sig: sig, ref: 1}
+	c.n++
 }
 
 // Release undoes one Use of sig at node n.
@@ -124,18 +154,15 @@ func (o *Occupancy) Release(n int, sig Signal) {
 }
 
 func (o *Occupancy) release(n int, sig Signal) {
-	for i := range o.occ[n] {
-		if o.occ[n][i].sig == sig {
-			o.occ[n][i].ref--
-			if o.occ[n][i].ref == 0 {
-				last := len(o.occ[n]) - 1
-				o.occ[n][i] = o.occ[n][last]
-				o.occ[n] = o.occ[n][:last]
-			}
-			return
-		}
+	i := o.find(n, sig)
+	if i < 0 {
+		panic("rgraph: release of absent signal")
 	}
-	panic("rgraph: release of absent signal")
+	if o.slots[i].ref--; o.slots[i].ref == 0 {
+		c := &o.cell[n]
+		c.n--
+		o.slots[i] = o.slots[c.base+c.n]
+	}
 }
 
 // BeginJournal arms the undo journal: every subsequent Use/Release is
@@ -182,12 +209,13 @@ type SigRef struct {
 // The internal order is arbitrary — Release swap-removes and rollback
 // re-appends — so comparisons must go through this canonical view.
 func (o *Occupancy) Entries(n int) []SigRef {
-	if len(o.occ[n]) == 0 {
+	held := o.held(n)
+	if len(held) == 0 {
 		return nil
 	}
-	out := make([]SigRef, len(o.occ[n]))
-	for i, r := range o.occ[n] {
-		out[i] = SigRef{Sig: r.sig, Ref: r.ref}
+	out := make([]SigRef, len(held))
+	for i, r := range held {
+		out[i] = SigRef{Sig: r.sig, Ref: int(r.ref)}
 	}
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j].Sig < out[j-1].Sig; j-- {
@@ -200,10 +228,10 @@ func (o *Occupancy) Entries(n int) []SigRef {
 // Equivalent reports whether o and p describe the same occupancy (same
 // signals with same refcounts at every node), ignoring internal entry order.
 func (o *Occupancy) Equivalent(p *Occupancy) bool {
-	if len(o.occ) != len(p.occ) {
+	if len(o.cell) != len(p.cell) {
 		return false
 	}
-	for n := range o.occ {
+	for n := range o.cell {
 		a, b := o.Entries(n), p.Entries(n)
 		if len(a) != len(b) {
 			return false
@@ -233,7 +261,7 @@ func (o *Occupancy) RemoveOp(n, v int) { o.Release(n, opSignal(v)) }
 
 // OpOccupied reports whether node n hosts a placed operation.
 func (o *Occupancy) OpOccupied(n int) bool {
-	for _, r := range o.occ[n] {
+	for _, r := range o.held(n) {
 		if r.sig < 0 {
 			return true
 		}
@@ -244,8 +272,9 @@ func (o *Occupancy) OpOccupied(n int) bool {
 // CanPlaceOp reports whether an operation could be placed on node n, i.e.
 // the node still has spare capacity for a new distinct signal.
 func (o *Occupancy) CanPlaceOp(n int) bool {
-	return o.distinct(n) < o.g.Nodes[n].Cap
+	c := o.cell[n]
+	return c.n < c.cap
 }
 
 // UseCount returns the total distinct signals at n (for congestion metrics).
-func (o *Occupancy) UseCount(n int) int { return o.distinct(n) }
+func (o *Occupancy) UseCount(n int) int { return int(o.cell[n].n) }

@@ -1,7 +1,8 @@
 // Package rgraph implements the time-extended (modulo) routing resource
 // graph that spatial-accelerator mapping operates on, together with a
 // journaling occupancy tracker and an exact-length 0-1 BFS router (the
-// heap-Dijkstra it replaced is retained as the reference implementation).
+// heap-Dijkstra it replaced is retained in a test file as the reference
+// implementation).
 //
 // The model follows the paper's Fig. 5 semantics: the accelerator's resources
 // are replicated along the time dimension (II cycles for a CGRA modulo

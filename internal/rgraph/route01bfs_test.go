@@ -69,6 +69,7 @@ func TestRoute01BFSMatchesDijkstra(t *testing.T) {
 		g := lineGraph(shape.n, shape.ii)
 		fus := g.FUs()
 		r := NewRouter(g, 24)
+		var pq routeHeap
 		rng := rand.New(rand.NewSource(int64(shape.n*100 + shape.ii)))
 		agreeOK, agreeFail := 0, 0
 		for q := 0; q < 600; q++ {
@@ -79,7 +80,7 @@ func TestRoute01BFSMatchesDijkstra(t *testing.T) {
 			hops := 1 + rng.Intn(10)
 
 			pb, cb, okb := r.Route(occ, sig, src, dst, hops)
-			pd, cd, okd := r.routeDijkstra(occ, sig, src, dst, hops)
+			pd, cd, okd := r.routeDijkstra(&pq, occ, sig, src, dst, hops)
 			if okb != okd {
 				t.Fatalf("n=%d ii=%d q=%d: 0-1 BFS ok=%v, Dijkstra ok=%v (src=%d dst=%d hops=%d)",
 					shape.n, shape.ii, q, okb, okd, src, dst, hops)

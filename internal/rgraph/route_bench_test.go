@@ -53,11 +53,12 @@ func BenchmarkRouteDijkstra(b *testing.B) {
 	g := lineGraph(8, 4)
 	r := NewRouter(g, 24)
 	qs := benchQueries(g, 64)
+	var pq routeHeap
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		r.routeDijkstra(q.occ, q.sig, q.src, q.dst, q.hops)
+		r.routeDijkstra(&pq, q.occ, q.sig, q.src, q.dst, q.hops)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestChaosMapperAnnealFault(t *testing.T) {
 // TestChaosRouterFault: a failing router takes out every engine including
 // greedy; the response is still a labeled 200 (OK=false), never a crash.
 func TestChaosRouterFault(t *testing.T) {
-	armFaults(t, "router.dijkstra=error:1", 1)
+	armFaults(t, "router.route=error:1", 1)
 	s := testServer(t, Config{})
 	h := s.Handler()
 

@@ -66,8 +66,8 @@ echo "running BenchmarkMapperPortfolio{K1,K4} (-benchtime $BENCHTIME)..." >&2
 praw=$(go test -run '^$' -bench '^BenchmarkMapperPortfolioK[14]$' -benchtime "$BENCHTIME" -benchmem .)
 echo "$praw" >&2
 
-pfield() { # pfield <benchmark-name> <unit>
-  echo "$praw" | grep "^$1 " | awk -v unit="$2" \
+pfield() { # pfield <benchmark-name> <unit>; the name may carry a -GOMAXPROCS suffix
+  echo "$praw" | grep -E "^$1(-[0-9]+)? " | awk -v unit="$2" \
     '{for (i=1;i<=NF;i++) if ($(i+1)==unit) printf "%s", $i}'
 }
 k1_ns=$(pfield BenchmarkMapperPortfolioK1 "ns/op")
