@@ -67,7 +67,9 @@ func main() {
 	if plan, err := fault.FromEnv(); err != nil {
 		fatal(err)
 	} else if plan != nil {
-		fault.Activate(plan)
+		if err := fault.Activate(plan); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintln(os.Stderr, "lisa-map: FAULT INJECTION ARMED:", plan)
 	}
 

@@ -96,12 +96,16 @@ func main() {
 		if err != nil {
 			log.Fatalf("lisa-serve: -faults: %v", err)
 		}
-		fault.Activate(plan)
+		if err := fault.Activate(plan); err != nil {
+			log.Fatalf("lisa-serve: -faults: %v", err)
+		}
 		log.Printf("lisa-serve: FAULT INJECTION ARMED: %s", plan)
 	} else if plan, err := fault.FromEnv(); err != nil {
 		log.Fatalf("lisa-serve: LISA_FAULTS: %v", err)
 	} else if plan != nil {
-		fault.Activate(plan)
+		if err := fault.Activate(plan); err != nil {
+			log.Fatalf("lisa-serve: LISA_FAULTS: %v", err)
+		}
 		log.Printf("lisa-serve: FAULT INJECTION ARMED (env): %s", plan)
 	}
 

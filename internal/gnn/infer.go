@@ -146,11 +146,7 @@ func (n *Label1Net) forwardInfer(in *tensor.Infer, nodeAttrs, asap *tensor.Tenso
 	m := in.MatMul(nodeAttrs, n.W0) // m⁰ = W0 · Attributes(v)
 	h := in.MatMul(asap, n.Wh)      // h⁰ embeds the ASAP value
 	for t := 0; t < 4; t++ {
-		agg := in.ConcatCols(
-			in.Aggregate(m, neighbors, tensor.AggMean),
-			in.Aggregate(m, neighbors, tensor.AggMax),
-			in.Aggregate(m, neighbors, tensor.AggMin),
-		)
+		agg := in.Pool(m, neighbors, tensor.AggMean, tensor.AggMax, tensor.AggMin)
 		m = in.MatMul(agg, n.W1[t])                              // eq. (1)
 		h = in.MatMul(in.Add(in.MatMul(h, n.W3[t]), m), n.W2[t]) // eq. (2)
 		h = in.ReLU(h)
@@ -166,13 +162,10 @@ func (m *MLP) forwardInfer(in *tensor.Infer, x *tensor.Tensor) *tensor.Tensor {
 // forwardInfer mirrors Label3Net.Forward on the no-tape engine.
 func (n *Label3Net) forwardInfer(in *tensor.Infer, edgeAttrs *tensor.Tensor, incident [][]int) *tensor.Tensor {
 	h1 := in.MatMul(edgeAttrs, n.W1) // eq. (4)
-	recip := func(kind tensor.AggKind) *tensor.Tensor {
-		return in.Reciprocal(in.Aggregate(h1, incident, kind), 1e-6)
-	}
-	nu := in.MatMul(in.ConcatCols(
-		recip(tensor.AggMean), recip(tensor.AggSum),
-		recip(tensor.AggMax), recip(tensor.AggMin),
-	), n.Wn)
+	// The reciprocal of the concatenated pools is the concatenation of the
+	// taped path's per-pool reciprocals.
+	pools := in.Pool(h1, incident, tensor.AggMean, tensor.AggSum, tensor.AggMax, tensor.AggMin)
+	nu := in.MatMul(in.Reciprocal(pools, 1e-6), n.Wn)
 	// eq. (6): h² = W2·h¹ + ν ⊙ W3·h¹.
 	h2 := in.Add(in.MatMul(h1, n.W2), in.Mul(nu, in.MatMul(h1, n.W3)))
 	return in.MatMul(in.ReLU(h2), n.Wo)

@@ -340,6 +340,28 @@ func (n *clusterNode) post(t *testing.T, body string) (*http.Response, []byte) {
 	return resp, b
 }
 
+// peerRoutedBody returns the first of up to 1000 seeded requests, built by
+// formatting format with the seed, whose key s's ring assigns to another
+// node. How the ring splits the keys depends on the listeners' ports, so a
+// test that needs a routed request asks the ring for one instead of trying
+// a handful of seeds.
+func peerRoutedBody(t *testing.T, s *Server, format string) string {
+	t.Helper()
+	cl := s.cfg.Cluster
+	for seed := 1; seed <= 1000; seed++ {
+		body := fmt.Sprintf(format, seed)
+		job, err := s.prepare([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.Owner(job.key) != cl.Self() {
+			return body
+		}
+	}
+	t.Fatal("the ring gives this node every key across 1000 seeds; ring broken?")
+	return ""
+}
+
 // TestClusterComputesOnceFleetWide is the multi-node acceptance test: the
 // same request against every node of a 3-node fleet is computed exactly
 // once, everyone answers byte-identically, and the detour is visible only
@@ -424,25 +446,17 @@ func TestClusterFallbackWhenOwnerUnreachable(t *testing.T) {
 
 	solo := testServer(t, Config{Workers: 2})
 
-	// Roughly half of all keys are owned by the dead peer; find one.
-	fellBack := false
-	for seed := 1; seed <= 24 && !fellBack; seed++ {
-		body := fmt.Sprintf(`{"kernel":"gemm","arch":"cgra-4x4","engine":"sa","seed":%d}`, seed)
-		resp, b := node.post(t, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("seed %d: %d: %s", seed, resp.StatusCode, b)
-		}
-		if resp.Header.Get(clusterHeader) != "fallback-local" {
-			continue
-		}
-		fellBack = true
-		ref := postMap(t, solo.Handler(), body)
-		if !bytes.Equal(b, ref.Body.Bytes()) {
-			t.Fatalf("seed %d: fallback body differs from a single-node daemon", seed)
-		}
+	body := peerRoutedBody(t, s, `{"kernel":"gemm","arch":"cgra-4x4","engine":"sa","seed":%d}`)
+	resp, b := node.post(t, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d: %s", body, resp.StatusCode, b)
 	}
-	if !fellBack {
-		t.Fatal("no key routed to the dead peer across 24 seeds; ring broken?")
+	if got := resp.Header.Get(clusterHeader); got != "fallback-local" {
+		t.Fatalf("%s: key owned by the dead peer: %s = %q, want fallback-local", body, clusterHeader, got)
+	}
+	ref := postMap(t, solo.Handler(), body)
+	if !bytes.Equal(b, ref.Body.Bytes()) {
+		t.Fatalf("%s: fallback body differs from a single-node daemon", body)
 	}
 	if _, fallbacks := s.Metrics().clusterCounters(); fallbacks == 0 {
 		t.Fatal("fallbacks not counted")
@@ -456,20 +470,13 @@ func TestChaosPeerRPCFault(t *testing.T) {
 	nodes := testCluster(t, 2)
 	armFaults(t, "peer.rpc=error:1", 7)
 
-	var hit []byte
-	var hitBody string
-	for seed := 1; seed <= 24 && hit == nil; seed++ {
-		body := fmt.Sprintf(`{"kernel":"atax","arch":"cgra-4x4","engine":"sa","seed":%d}`, seed)
-		resp, b := nodes[0].post(t, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("seed %d under peer.rpc fault: %d: %s", seed, resp.StatusCode, b)
-		}
-		if resp.Header.Get(clusterHeader) == "fallback-local" {
-			hit, hitBody = b, body
-		}
+	hitBody := peerRoutedBody(t, nodes[0].srv, `{"kernel":"atax","arch":"cgra-4x4","engine":"sa","seed":%d}`)
+	resp, hit := nodes[0].post(t, hitBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s under peer.rpc fault: %d: %s", hitBody, resp.StatusCode, hit)
 	}
-	if hit == nil {
-		t.Fatal("no request needed the peer across 24 seeds")
+	if got := resp.Header.Get(clusterHeader); got != "fallback-local" {
+		t.Fatalf("%s under peer.rpc fault: %s = %q, want fallback-local", hitBody, clusterHeader, got)
 	}
 	alive(t, nodes[0].srv.Handler())
 

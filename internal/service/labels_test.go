@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,8 +21,10 @@ import (
 	"github.com/lisa-go/lisa/internal/gnn"
 	"github.com/lisa-go/lisa/internal/kernels"
 	"github.com/lisa-go/lisa/internal/labels"
+	"github.com/lisa-go/lisa/internal/mapper"
 	"github.com/lisa-go/lisa/internal/registry"
 	"github.com/lisa-go/lisa/internal/tensor"
+	"github.com/lisa-go/lisa/internal/traingen"
 )
 
 func postLabels(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
@@ -363,5 +367,149 @@ func TestLabelsTaskPanicReachesFence(t *testing.T) {
 	}
 	if got := panics.Load(); got != 2 {
 		t.Fatalf("OnPanic saw %d panics, want 2", got)
+	}
+}
+
+// labelsBodiesSHA256 is the SHA-256 over the statuses, Content-Types and
+// bodies of TestLabelsOnDemandBodiesPinned's requests. Every predicted bit,
+// every float's formatting and every byte of the response layout feeds it.
+const labelsBodiesSHA256 = "3b570732353cde8668383be78c01403b7dcb12bfe732acdc96542ca6248236a0"
+
+// TestLabelsOnDemandBodiesPinned sends a fixed mix of /v1/labels requests
+// (named kernels, unrolled kernels and §V random DFGs sent inline, a name
+// that needs escaping, and one bad request) to a server holding the model
+// lisa-serve trains on demand for cgra-4x4 with its default flags, and pins
+// the response bytes. Like the model digest in the registry package, the
+// bytes are only pinned on amd64: other architectures may fuse
+// multiply-adds and round differently.
+func TestLabelsOnDemandBodiesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("label bytes are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	reg := registry.New(registry.Config{
+		TrainGen: traingen.Config{
+			NumDFGs:    36,
+			Iterations: 2,
+			DFG:        dfg.DefaultRandomConfig(),
+			MapOpts:    mapper.Options{MaxMoves: 700},
+			Filter:     labels.DefaultFilterConfig(),
+		},
+		TrainCfg:      gnn.TrainConfig{Epochs: 60, LR: 0.003, WeightDecay: 0.0005},
+		Seed:          1,
+		TrainOnDemand: true,
+	})
+	s := New(Config{}, reg)
+	defer s.Close()
+
+	inline := func(g *dfg.Graph) json.RawMessage {
+		var b bytes.Buffer
+		if err := g.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	reqs := []LabelsRequest{{Arch: "cgra-4x4", Kernels: kernels.Names()}}
+	for _, k := range kernels.Names() {
+		g := kernels.MustByName(k)
+		reqs = append(reqs, LabelsRequest{Arch: "cgra-4x4", Kernels: []string{k},
+			DFGs: []json.RawMessage{inline(dfg.Unroll(g, 2)), inline(dfg.Unroll(g, 4))}})
+	}
+	var random []json.RawMessage
+	for seed := int64(0); seed < 48; seed++ {
+		name := fmt.Sprintf("rnd%d", seed)
+		if seed == 0 {
+			name = "rnd<&>\u2028"
+		}
+		random = append(random, inline(dfg.Random(rand.New(rand.NewSource(seed)), dfg.DefaultRandomConfig(), name)))
+	}
+	for i := 0; i < len(random); i += 16 {
+		reqs = append(reqs, LabelsRequest{Arch: "cgra-4x4", Kernels: []string{"gemm"}, DFGs: random[i : i+16]})
+	}
+	reqs = append(reqs, LabelsRequest{Arch: "cgra-4x4", Kernels: []string{"gemm", "nope"}})
+
+	sum := sha256.New()
+	for i, r := range reqs {
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := postLabels(t, s.Handler(), string(body))
+		want := http.StatusOK
+		if i == len(reqs)-1 {
+			want = http.StatusBadRequest
+		}
+		if w.Code != want {
+			t.Fatalf("request %d: status %d, want %d: %s", i, w.Code, want, w.Body)
+		}
+		fmt.Fprintf(sum, "%d %s %d\n", w.Code, w.Header().Get("Content-Type"), w.Body.Len())
+		sum.Write(w.Body.Bytes())
+	}
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != labelsBodiesSHA256 {
+		t.Fatalf("/v1/labels bodies SHA-256 = %s, want %s", got, labelsBodiesSHA256)
+	}
+}
+
+// TestLabelsBodySpliceMatchesMarshal: rows encoded one by one and spliced
+// equal json.Marshal of the whole response, including the HTML escaping of
+// names, U+2028 and invalid UTF-8, for batches of one and several rows.
+func TestLabelsBodySpliceMatchesMarshal(t *testing.T) {
+	rows := []LabelsRow{
+		{Name: "a<b>&c", Nodes: 2, Edges: 1, Order: []float64{0, 1.5}, Spatial: []float64{2}, Temporal: []float64{1}},
+		{Name: "line\u2028sep\u2029", Order: []float64{}, Spatial: []float64{}, Temporal: []float64{}},
+		{Name: "bad\xff\xfeutf8", Nodes: 3, Edges: 2, Order: []float64{1e-9, 3, 1e21}, Spatial: []float64{0, 4},
+			Temporal: []float64{1, 7}, SameLevel: []SameLevelEntry{{A: 0, B: 2, Value: 0.25}}},
+		{Name: `quote"back\slash`, Order: nil, Spatial: nil, Temporal: nil},
+	}
+	for _, archName := range []string{"cgra-4x4", "odd<&>\u2028arch"} {
+		for n := 1; n <= len(rows); n++ {
+			items := make([]labelsItem, n)
+			for i := range items {
+				b, err := json.Marshal(rows[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				items[i].row = b
+			}
+			want, err := json.Marshal(LabelsResponse{Arch: archName, Labels: rows[:n]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := labelsBody(archName, items); !bytes.Equal(got, want) {
+				t.Fatalf("arch %q, %d rows: spliced body\n%s\nwant\n%s", archName, n, got, want)
+			}
+		}
+	}
+}
+
+// TestLabelsEncodeFailureCounts500: a model that predicts a NaN label (one
+// NaN weight, as a diverged training run could leave behind) answers the
+// 500 "encoding response: …" text/plain body, and /metrics counts that 500,
+// not a 200.
+func TestLabelsEncodeFailureCounts500(t *testing.T) {
+	m := gnn.NewModel(rand.New(rand.NewSource(1)), "cgra-4x4")
+	m.Temporal.W2.Data[0] = math.NaN()
+	reg := registry.New(registry.Config{TrainOnDemand: false})
+	reg.Put(m)
+	s := New(Config{}, reg)
+	defer s.Close()
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(procs, func() {
+			w := postLabels(t, s.Handler(), `{"arch":"cgra-4x4","kernels":["gemm","atax","mvt"]}`)
+			if w.Code != http.StatusInternalServerError ||
+				w.Body.String() != "encoding response: json: unsupported value: NaN\n" ||
+				w.Header().Get("Content-Type") != "text/plain; charset=utf-8" {
+				t.Fatalf("GOMAXPROCS=%d: status %d, Content-Type %q, body %q", procs, w.Code, w.Header().Get("Content-Type"), w.Body)
+			}
+		})
+	}
+	var snap MetricsSnapshot
+	mw := httptest.NewRecorder()
+	s.Handler().ServeHTTP(mw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := json.Unmarshal(mw.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	// The one 200 is the /metrics request itself.
+	if snap.Requests["/v1/labels"] != 2 || snap.Status["500"] != 2 || snap.Status["200"] != 1 {
+		t.Fatalf("/metrics counts requests %v, statuses %v; want two /v1/labels 500s and one 200", snap.Requests, snap.Status)
 	}
 }

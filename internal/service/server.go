@@ -868,9 +868,10 @@ type LabelsResponse struct {
 
 // labelsItem carries one DFG of a /v1/labels request through its pipeline.
 type labelsItem struct {
-	g   *dfg.Graph
-	row LabelsRow
-	err error
+	g      *dfg.Graph
+	row    []byte // the row's JSON encoding
+	err    error  // a bad DFG (400) or a model that cannot predict it (500)
+	encErr error  // a row JSON cannot encode, such as a NaN label (500)
 }
 
 // handleLabels serves raw GNN label predictions: the compile-time inference
@@ -878,14 +879,15 @@ type labelsItem struct {
 // mapper or inspect what the model would steer it with.
 //
 // Each DFG runs its own pipeline — resolve or decode and size-check it,
-// generate its attributes, predict it with one fused Predict, build its row
-// — and the DFGs fan out across cores (parallel.ForEach at GOMAXPROCS
-// width). The rows are answered in request order, so the bytes equal a
-// serial per-DFG loop. Errors keep the serial precedence: the lowest-index
-// bad kernel name or DFG answers 400, checked before the model is resolved
-// so a bad request never starts training or gets a 503; then a missing
-// model answers 503 and scale skew 500. A panicking task is re-raised here,
-// inside the handler's panic fence.
+// generate its attributes, predict it with one fused Predict, encode its
+// row — and the DFGs fan out across cores (parallel.ForEach at GOMAXPROCS
+// width). The handler splices the encoded rows in request order, so the
+// bytes equal json.Marshal of the whole response and a serial per-DFG loop.
+// Errors keep the serial precedence: the lowest-index bad kernel name or
+// DFG answers 400, checked before the model is resolved so a bad request
+// never starts training or gets a 503; then a missing model answers 503,
+// scale skew 500, and a row that cannot be encoded 500. A panicking task is
+// re-raised here, inside the handler's panic fence.
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/labels"
 	if r.Method != http.MethodPost {
@@ -936,20 +938,50 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	parallel.ForEach(workers, n, func(i int) {
-		items[i].row, items[i].err = labelsRow(m, items[i].g)
+		it := &items[i]
+		var row LabelsRow
+		if row, it.err = labelsRow(m, it.g); it.err == nil {
+			it.row, it.encErr = json.Marshal(row)
+		}
 	})
-	resp := LabelsResponse{Arch: ar.Name(), Labels: make([]LabelsRow, n)}
-	for i, it := range items {
+	for _, it := range items {
 		if it.err != nil {
 			// The only failure is scale-vector version skew — a broken model
 			// artifact, squarely a server-side error.
 			s.fail(w, route, http.StatusInternalServerError, "%v", it.err)
 			return
 		}
-		resp.Labels[i] = it.row
+	}
+	for _, it := range items {
+		if it.encErr != nil { // a NaN or ±Inf label, e.g. from a diverged model
+			s.metrics.Request(route, http.StatusInternalServerError)
+			http.Error(w, "encoding response: "+it.encErr.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
 	s.metrics.Request(route, http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(labelsBody(ar.Name(), items)) // a write error means the client hung up; nothing to do
+}
+
+// labelsBody splices the items' encoded rows, in request order, into the
+// bytes json.Marshal gives a LabelsResponse holding the rows: json.Marshal
+// encoded each row inside its task, so what is left here is a copy.
+func labelsBody(archName string, items []labelsItem) []byte {
+	name, _ := json.Marshal(archName) // a string always encodes
+	size := len(`{"arch":,"labels":[]}`) + len(name) + len(items)
+	for _, it := range items {
+		size += len(it.row)
+	}
+	body := append(make([]byte, 0, size), `{"arch":`...)
+	body = append(append(body, name...), `,"labels":[`...)
+	for i, it := range items {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, it.row...)
+	}
+	return append(body, "]}"...)
 }
 
 // labelsGraph resolves the i-th DFG of a labels request: kernels first, then

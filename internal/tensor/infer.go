@@ -9,9 +9,13 @@
 // differential tests enforce it): every Infer op performs the same float64
 // operations in the same order as its taped counterpart, so a served
 // prediction is byte-identical to what the training-time forward pass would
-// have produced. In particular InferMatMul accumulates over k in ascending
-// order with the same skip-zero rule as MatMul — the transposed layout
-// changes the memory access pattern, never the arithmetic sequence.
+// have produced. MatMul keeps four output cells of a row in registers while
+// k ascends, and each cell still starts from +0 and adds av*b[k][j] for
+// ascending k, skipping the zero entries of a, like the taped MatMul. Pool
+// replaces a ConcatCols over one taped Aggregate per kind with one pass
+// over each set: a sum or mean adds in set order from +0, and a max or min
+// starts from the set's first row and keeps the tape's strict > and <
+// tests, so NaN and -0 pool exactly as before.
 package tensor
 
 import "fmt"
@@ -21,13 +25,6 @@ const inferSlabFloats = 16384
 
 // inferSlabHdrs sizes the arena's Tensor-header slabs.
 const inferSlabHdrs = 256
-
-// mmBlock is the output-column block width of the transposed matmul: one
-// block of B-transposed rows stays hot in cache while every A row streams
-// past it. Blocking never splits the k (reduction) dimension, so the
-// accumulation order — and therefore the result bits — match the taped
-// MatMul exactly.
-const mmBlock = 48
 
 // Infer is an inference-only evaluator: an arena of matrices plus no-tape
 // implementations of the forward operations. Tensors returned by its
@@ -110,43 +107,47 @@ func (in *Infer) NewMat(rows, cols int) *Tensor {
 	return t
 }
 
-// MatMul returns a @ b without touching the tape. The inner product runs
-// over a transposed copy of b in column blocks — both operands stream
-// linearly — while accumulating exactly like the taped MatMul: ascending k,
-// zero entries of a skipped.
+// MatMul returns a @ b without touching the tape. Each pass over a row of a
+// fills four output cells, so a row of b is read four columns at a time and
+// a row of a once per four columns. Every cell accumulates exactly like the
+// taped MatMul: from +0, over ascending k, skipping zero entries of a, each
+// step spelled c += av * b so that a compiler fusing multiply-adds fuses
+// both paths alike.
 //
 //lisa:hotpath per-layer matmul of every served prediction; BENCH_gnn.json gates allocs/op
 func (in *Infer) MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape (%dx%d)@(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	bt := in.alloc(b.Rows * b.Cols)
-	for k := 0; k < b.Rows; k++ {
-		row := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for j, v := range row {
-			bt[j*b.Rows+k] = v
-		}
-	}
-	out := in.NewMat(a.Rows, b.Cols)
-	for jb := 0; jb < b.Cols; jb += mmBlock {
-		je := jb + mmBlock
-		if je > b.Cols {
-			je = b.Cols
-		}
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j := jb; j < je; j++ {
-				brow := bt[j*b.Rows : (j+1)*b.Rows]
-				acc := 0.0
-				for k, av := range arow {
-					if av == 0 {
-						continue
-					}
-					acc += av * brow[k]
+	n := b.Cols
+	out := in.NewMat(a.Rows, n)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var c0, c1, c2, c3 float64
+			for k, av := range arow {
+				if av == 0 {
+					continue
 				}
-				orow[j] = acc
+				bk := b.Data[k*n+j : k*n+j+4]
+				c0 += av * bk[0]
+				c1 += av * bk[1]
+				c2 += av * bk[2]
+				c3 += av * bk[3]
 			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = c0, c1, c2, c3
+		}
+		for ; j < n; j++ {
+			var c float64
+			for k, av := range arow {
+				if av == 0 {
+					continue
+				}
+				c += av * b.Data[k*n+j]
+			}
+			orow[j] = c
 		}
 	}
 	return out
@@ -189,33 +190,6 @@ func (in *Infer) ReLU(x *Tensor) *Tensor {
 	return out
 }
 
-// ConcatCols concatenates tensors with equal row counts along columns, no
-// tape.
-//
-//lisa:hotpath fused-inference op; must stay arena-only
-func (in *Infer) ConcatCols(parts ...*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("tensor: concat of nothing")
-	}
-	rows := parts[0].Rows
-	cols := 0
-	for _, p := range parts {
-		if p.Rows != rows {
-			panic("tensor: concat row mismatch")
-		}
-		cols += p.Cols
-	}
-	out := in.NewMat(rows, cols)
-	off := 0
-	for _, p := range parts {
-		for i := 0; i < rows; i++ {
-			copy(out.Data[i*cols+off:i*cols+off+p.Cols], p.Data[i*p.Cols:(i+1)*p.Cols])
-		}
-		off += p.Cols
-	}
-	return out
-}
-
 // Reciprocal mirrors the taped Reciprocal: entries with magnitude below eps
 // yield exactly 1.
 //
@@ -232,46 +206,58 @@ func (in *Infer) Reciprocal(x *Tensor, eps float64) *Tensor {
 	return out
 }
 
-// Aggregate pools rows of x over index sets exactly like the taped
-// Aggregate (empty sets yield zero rows; mean divides after summing in set
-// order), without recording arg-extremum selections.
+// Pool pools the rows of x over each index set once per kind and lays the
+// pools side by side: row i is [kinds[0] | kinds[1] | …] over the rows
+// x[sets[i]], each part x.Cols wide. It equals ConcatCols over one taped
+// Aggregate per kind, bit for bit, but reads each set's rows once and
+// writes the concatenated row directly. Empty sets yield zero rows. A sum
+// or mean adds in set order from +0, and a mean then divides by the set
+// size; a max or min starts from the set's first row and replaces on a
+// strict > or <, as the tape does.
 //
 //lisa:hotpath fused-inference op; must stay arena-only
-func (in *Infer) Aggregate(x *Tensor, sets [][]int, kind AggKind) *Tensor {
+func (in *Infer) Pool(x *Tensor, sets [][]int, kinds ...AggKind) *Tensor {
 	cols := x.Cols
-	out := in.NewMat(len(sets), cols)
+	width := cols * len(kinds)
+	out := in.NewMat(len(sets), width)
 	for i, set := range sets {
+		orow := out.Data[i*width : (i+1)*width]
+		for si, s := range set {
+			row := x.Data[s*cols : (s+1)*cols]
+			for p, kind := range kinds {
+				part := orow[p*cols : (p+1)*cols]
+				switch {
+				case kind == AggMean || kind == AggSum:
+					for j, v := range row {
+						part[j] += v
+					}
+				case si == 0: // a max or min starts from the set's first row
+					copy(part, row)
+				case kind == AggMax:
+					for j, v := range row {
+						if v > part[j] {
+							part[j] = v
+						}
+					}
+				case kind == AggMin:
+					for j, v := range row {
+						if v < part[j] {
+							part[j] = v
+						}
+					}
+				}
+			}
+		}
 		if len(set) == 0 {
 			continue
 		}
-		orow := out.Data[i*cols : (i+1)*cols]
-		for j := 0; j < cols; j++ {
-			switch kind {
-			case AggMean, AggSum:
-				sum := 0.0
-				for _, s := range set {
-					sum += x.Data[s*cols+j]
+		size := float64(len(set))
+		for p, kind := range kinds {
+			if kind == AggMean {
+				part := orow[p*cols : (p+1)*cols]
+				for j := range part {
+					part[j] /= size
 				}
-				if kind == AggMean {
-					sum /= float64(len(set))
-				}
-				orow[j] = sum
-			case AggMax:
-				best := x.Data[set[0]*cols+j]
-				for _, s := range set[1:] {
-					if v := x.Data[s*cols+j]; v > best {
-						best = v
-					}
-				}
-				orow[j] = best
-			case AggMin:
-				best := x.Data[set[0]*cols+j]
-				for _, s := range set[1:] {
-					if v := x.Data[s*cols+j]; v < best {
-						best = v
-					}
-				}
-				orow[j] = best
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,31 +23,54 @@ func randMat(rng *rand.Rand, rows, cols int) *Tensor {
 	return t
 }
 
+// specialMat is randMat salted with the values whose arithmetic is easiest
+// to get subtly wrong: -0, ±Inf and NaN, each in about one entry in twenty.
+func specialMat(rng *rand.Rand, rows, cols int) *Tensor {
+	t := randMat(rng, rows, cols)
+	specials := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := range t.Data {
+		if rng.Intn(5) == 0 {
+			t.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return t
+}
+
 // assertBitIdentical compares two tensors via Float64bits: the fused path
 // promises the same arithmetic sequence as the tape, so even the last ulp
-// must agree.
+// and the sign of a zero must agree. NaNs compare as one value: when both
+// operands of an add are NaN, which payload survives depends on the operand
+// order the compiler picks, and a NaN of any payload fails JSON encoding
+// with the same message.
 func assertBitIdentical(t *testing.T, op string, taped, fused *Tensor) {
 	t.Helper()
 	if taped.Rows != fused.Rows || taped.Cols != fused.Cols {
 		t.Fatalf("%s: shape (%dx%d) vs (%dx%d)", op, taped.Rows, taped.Cols, fused.Rows, fused.Cols)
 	}
-	for i := range taped.Data {
-		if math.Float64bits(taped.Data[i]) != math.Float64bits(fused.Data[i]) {
-			t.Fatalf("%s: element %d differs: %v (taped) vs %v (fused)",
-				op, i, taped.Data[i], fused.Data[i])
+	for i, want := range taped.Data {
+		got := fused.Data[i]
+		if math.Float64bits(want) != math.Float64bits(got) && !(math.IsNaN(want) && math.IsNaN(got)) {
+			t.Fatalf("%s: element %d differs: %v (taped) vs %v (fused)", op, i, want, got)
 		}
 	}
 }
 
+// TestInferMatMulBitIdentical sweeps every output width the register
+// blocking splits differently (1-9 and 16: full four-column passes, tails
+// of 1-3, both) and every depth 0-25 (the networks' deepest operand is 24),
+// with exact zeros, -0, ±Inf and NaN in both operands.
 func TestInferMatMulBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	in := NewInfer()
-	// Sweep shapes past the mmBlock boundary so column blocking is exercised.
-	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 4, 9}, {5, 3, mmBlock}, {4, 6, mmBlock + 17}, {2, 8, 2*mmBlock + 5}} {
-		a := randMat(rng, shape[0], shape[1])
-		b := randMat(rng, shape[1], shape[2])
-		assertBitIdentical(t, "matmul", MatMul(a, b), in.MatMul(a, b))
-		in.Reset()
+	for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
+		for depth := 0; depth <= 25; depth++ {
+			for _, mat := range []func(*rand.Rand, int, int) *Tensor{randMat, specialMat} {
+				a := mat(rng, 5, depth)
+				b := mat(rng, depth, width)
+				assertBitIdentical(t, fmt.Sprintf("matmul %dx%d@%dx%d", a.Rows, a.Cols, b.Rows, b.Cols), MatMul(a, b), in.MatMul(a, b))
+				in.Reset()
+			}
+		}
 	}
 }
 
@@ -64,22 +88,61 @@ func TestInferElementwiseBitIdentical(t *testing.T) {
 	assertBitIdentical(t, "reciprocal-guard", Reciprocal(g, 1e-9), in.Reciprocal(g, 1e-9))
 }
 
-func TestInferConcatColsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	in := NewInfer()
-	a := randMat(rng, 3, 2)
-	b := randMat(rng, 3, 5)
-	c := randMat(rng, 3, 1)
-	assertBitIdentical(t, "concat", ConcatCols(a, b, c), in.ConcatCols(a, b, c))
+// poolSets returns index sets over the rows of a 40-row matrix: empty,
+// singleton, repeated-index and large sets.
+func poolSets(rng *rand.Rand) [][]int {
+	large := make([]int, 300)
+	for i := range large {
+		large[i] = rng.Intn(40)
+	}
+	return [][]int{{0, 1, 2}, {5}, {}, {3, 1, 4, 0}, {2, 2}, {7, 7, 7, 1}, large, {39, 0}, {}, {12}}
 }
 
+// TestInferAggregateBitIdentical checks Pool over a single kind, which is
+// what the fused path once spelled Infer.Aggregate, against the taped
+// Aggregate for every kind, with -0, ±Inf and NaN entries in x.
 func TestInferAggregateBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	in := NewInfer()
-	x := randMat(rng, 6, 3)
-	sets := [][]int{{0, 1, 2}, {5}, {}, {3, 1, 4, 0}, {2, 2}}
+	sets := poolSets(rng)
 	for _, kind := range []AggKind{AggMean, AggSum, AggMax, AggMin} {
-		assertBitIdentical(t, "aggregate", Aggregate(x, sets, kind), in.Aggregate(x, sets, kind))
+		for _, cols := range []int{1, 3, 8} {
+			for _, mat := range []func(*rand.Rand, int, int) *Tensor{randMat, specialMat} {
+				x := mat(rng, 40, cols)
+				assertBitIdentical(t, fmt.Sprintf("pool %v over %d columns", kind, cols), Aggregate(x, sets, kind), in.Pool(x, sets, kind))
+				in.Reset()
+			}
+		}
+	}
+	// Ties and signed zeros: the first of equal extremes wins, as in the tape.
+	negZero := math.Copysign(0, -1)
+	x := FromRows([][]float64{{negZero, 0, math.NaN()}, {0, negZero, 1}, {math.NaN(), math.Inf(-1), math.Inf(1)}})
+	tieSets := [][]int{{0, 1}, {1, 0}, {2, 0, 1}, {0, 2}, {0}}
+	for _, kind := range []AggKind{AggMean, AggSum, AggMax, AggMin} {
+		assertBitIdentical(t, "pool ties", Aggregate(x, tieSets, kind), in.Pool(x, tieSets, kind))
+	}
+}
+
+// TestInferConcatColsBitIdentical checks the concatenated row Pool writes,
+// which the fused path once built with Infer.ConcatCols, against its
+// oracle, ConcatCols over one taped Aggregate per kind, for both kind lists
+// the networks use.
+func TestInferConcatColsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(203))
+	in := NewInfer()
+	sets := poolSets(rng)
+	for _, kinds := range [][]AggKind{{AggMean, AggMax, AggMin}, {AggMean, AggSum, AggMax, AggMin}} {
+		for _, cols := range []int{1, 5, 8} {
+			for _, mat := range []func(*rand.Rand, int, int) *Tensor{randMat, specialMat} {
+				x := mat(rng, 40, cols)
+				parts := make([]*Tensor, len(kinds))
+				for p, kind := range kinds {
+					parts[p] = Aggregate(x, sets, kind)
+				}
+				assertBitIdentical(t, fmt.Sprintf("pool %v over %d columns", kinds, cols), ConcatCols(parts...), in.Pool(x, sets, kinds...))
+				in.Reset()
+			}
+		}
 	}
 }
 
@@ -135,7 +198,7 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 	cycle := func() {
 		in.Reset()
 		h := in.ReLU(in.MatMul(a, b))
-		in.Aggregate(h, sets, AggMean)
+		in.Pool(h, sets, AggMean, AggMax, AggMin)
 	}
 	cycle() // warm the slabs
 	allocs := testing.AllocsPerRun(50, cycle)
