@@ -30,8 +30,7 @@
 //
 // on the flagged line or the line directly above it. Both the analyzer
 // name and the reason are mandatory: a suppression that names no analyzer,
-// names an unknown analyzer, or gives no reason is itself reported, as is
-// the legacy //lisa:nondet-ok form it replaces.
+// names an unknown analyzer, or gives no reason is itself reported.
 package analysis
 
 import (
@@ -140,27 +139,22 @@ func diagAt(fset *token.FileSet, pos token.Pos, analyzer, format string, args ..
 	}
 }
 
-// Suppression comment markers. vet-ok is the current form; nondet-ok is
-// the pre-v2 form that named no analyzer and is now itself a finding.
-const (
-	suppressPrefix = "lisa:vet-ok"
-	legacyPrefix   = "lisa:nondet-ok"
-)
+// suppressPrefix is the suppression comment marker.
+const suppressPrefix = "lisa:vet-ok"
 
-// suppression is one //lisa:vet-ok (or legacy //lisa:nondet-ok) comment,
-// located by file and line and scoped to one analyzer.
+// suppression is one //lisa:vet-ok comment, located by file and line and
+// scoped to one analyzer.
 type suppression struct {
 	file     string
 	line     int
 	analyzer string // analyzer the suppression names; "" if missing
 	reason   string
-	legacy   bool // old //lisa:nondet-ok form
 	pos      token.Pos
 }
 
 // collectSuppressions scans a parsed file's comments for suppression
-// markers. Malformed entries (no analyzer, no reason, legacy form) are kept
-// so Run can report them.
+// markers. Malformed entries (no analyzer, no reason) are kept so Run can
+// report them.
 func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 	var out []suppression
 	for _, cg := range f.Comments {
@@ -169,18 +163,11 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 			text = strings.TrimPrefix(text, "/*")
 			text = strings.TrimSuffix(text, "*/")
 			text = strings.TrimSpace(text)
-			pos := fset.Position(c.Pos())
-			if rest, ok := markerRest(text, legacyPrefix); ok {
-				out = append(out, suppression{
-					file: pos.Filename, line: pos.Line,
-					reason: rest, legacy: true, pos: c.Pos(),
-				})
-				continue
-			}
 			rest, ok := markerRest(text, suppressPrefix)
 			if !ok {
 				continue
 			}
+			pos := fset.Position(c.Pos())
 			s := suppression{file: pos.Filename, line: pos.Line, pos: c.Pos()}
 			if fields := strings.Fields(rest); len(fields) > 0 {
 				s.analyzer = fields[0]
@@ -205,10 +192,10 @@ func markerRest(text, prefix string) (string, bool) {
 	return strings.TrimSpace(rest), true
 }
 
-// wellFormed reports whether s is a usable suppression: current form,
-// known analyzer, non-empty reason.
+// wellFormed reports whether s is a usable suppression: known analyzer,
+// non-empty reason.
 func (s suppression) wellFormed() bool {
-	return !s.legacy && s.analyzer != "" && s.reason != "" && knownAnalyzer(s.analyzer)
+	return s.analyzer != "" && s.reason != "" && knownAnalyzer(s.analyzer)
 }
 
 // suppressed reports whether d is covered by a well-formed suppression
@@ -233,8 +220,6 @@ func (pkg *Package) suppressionDiags() []Diagnostic {
 	for _, s := range pkg.suppressions {
 		var msg string
 		switch {
-		case s.legacy:
-			msg = "legacy //" + legacyPrefix + " comment: migrate to //" + suppressPrefix + " <analyzer> <reason>"
 		case s.analyzer == "":
 			msg = "//" + suppressPrefix + " needs an analyzer and a reason: //" + suppressPrefix + " <analyzer> <reason>"
 		case !knownAnalyzer(s.analyzer):

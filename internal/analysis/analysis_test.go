@@ -171,7 +171,6 @@ func f() {
 	_ = 3 //lisa:vet-okay different marker, not ours
 	_ = 4 // lisa:vet-ok goleak leading space still counts
 	_ = 5 //lisa:vet-ok
-	_ = 6 //lisa:nondet-ok legacy marker is kept for reporting
 }
 `
 	fset := token.NewFileSet()
@@ -184,22 +183,20 @@ func f() {
 		line     int
 		analyzer string
 		reason   string
-		legacy   bool
 	}{
-		{4, "maprange", "with a reason", false},
-		{5, "maprange", "", false},
-		{8, "goleak", "leading space still counts", false},
-		{9, "", "", false},
-		{10, "", "legacy marker is kept for reporting", true},
+		{4, "maprange", "with a reason"},
+		{5, "maprange", ""},
+		{8, "goleak", "leading space still counts"},
+		{9, "", ""},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d suppressions, want %d: %+v", len(got), len(want), got)
 	}
 	for i, w := range want {
 		s := got[i]
-		if s.line != w.line || s.analyzer != w.analyzer || s.reason != w.reason || s.legacy != w.legacy {
-			t.Errorf("suppression %d = {line %d analyzer %q reason %q legacy %v}, want {line %d analyzer %q reason %q legacy %v}",
-				i, s.line, s.analyzer, s.reason, s.legacy, w.line, w.analyzer, w.reason, w.legacy)
+		if s.line != w.line || s.analyzer != w.analyzer || s.reason != w.reason {
+			t.Errorf("suppression %d = {line %d analyzer %q reason %q}, want {line %d analyzer %q reason %q}",
+				i, s.line, s.analyzer, s.reason, w.line, w.analyzer, w.reason)
 		}
 	}
 }
@@ -212,7 +209,6 @@ func TestSuppressedLineAbove(t *testing.T) {
 		{file: "f.go", line: 10, analyzer: "maprange", reason: "x"},
 		{file: "f.go", line: 20, analyzer: "maprange"},              // no reason: malformed
 		{file: "f.go", line: 30, analyzer: "mapranje", reason: "x"}, // unknown analyzer
-		{file: "f.go", line: 40, reason: "legacy", legacy: true},
 	}}
 	for _, tc := range []struct {
 		line     int
@@ -226,7 +222,6 @@ func TestSuppressedLineAbove(t *testing.T) {
 		{11, "goleak", false}, // scoped: wrong analyzer
 		{21, "maprange", false},
 		{31, "maprange", false},
-		{41, "maprange", false},
 	} {
 		d := Diagnostic{File: "f.go", Line: tc.line, Analyzer: tc.analyzer}
 		if got := pkg.suppressed(d); got != tc.want {

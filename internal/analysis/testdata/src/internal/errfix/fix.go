@@ -52,5 +52,5 @@ func excluded(b *strings.Builder) {
 
 // suppressed carries an annotation: not flagged.
 func suppressed() {
-	mayFail() //lisa:nondet-ok best-effort cleanup on the shutdown path
+	mayFail() //lisa:vet-ok errdrop best-effort cleanup on the shutdown path
 }

@@ -16,7 +16,7 @@ func notAllowlisted() time.Duration {
 
 // suppressedClock carries an annotation: not flagged.
 func suppressedClock() time.Time {
-	return time.Now() //lisa:nondet-ok debug-only timestamp, never serialized
+	return time.Now() //lisa:vet-ok wallclock debug-only timestamp, never serialized
 }
 
 // sleeper delays outside the allowlist: flagged — a sleep shifts every

@@ -48,7 +48,7 @@ func conditionalCollect(m map[string]int) []string {
 // suppressedRange carries an annotation: not flagged.
 func suppressedRange(m map[string]int) int {
 	n := 0
-	//lisa:nondet-ok counting entries; integer addition is commutative
+	//lisa:vet-ok maprange counting entries; integer addition is commutative
 	for range m {
 		n++
 	}

@@ -26,6 +26,6 @@ func Construct(seed int64) *rand.Rand {
 
 // Suppressed carries an annotation: not flagged.
 func Suppressed() int {
-	//lisa:nondet-ok retry jitter on an error path; never reaches a result
+	//lisa:vet-ok globalrand retry jitter on an error path; never reaches a result
 	return rand.Intn(3)
 }

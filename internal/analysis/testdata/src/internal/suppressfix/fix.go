@@ -2,8 +2,8 @@
 // okSuppressed carries a well-formed //lisa:vet-ok (analyzer + reason): its
 // maprange finding is silenced and nothing else is reported for it. The
 // other comments are each malformed in one way — reason-less, unknown
-// analyzer, wrong analyzer, legacy //lisa:nondet-ok — so both the
-// suppression diagnostic and the undiminished maprange finding appear.
+// analyzer, wrong analyzer — so both the suppression diagnostic and the
+// undiminished maprange finding appear.
 package suppressfix
 
 // okSuppressed is the clean baseline: a well-formed suppression silences
@@ -43,17 +43,6 @@ func unknownAnalyzer(m map[int]int) int {
 func wrongAnalyzer(m map[int]int) int {
 	n := 0
 	//lisa:vet-ok wallclock suppresses the wrong analyzer
-	for range m {
-		n++
-	}
-	return n
-}
-
-// legacyForm still uses the pre-v2 marker: reported for migration, no
-// longer silences anything.
-func legacyForm(m map[int]int) int {
-	n := 0
-	//lisa:nondet-ok old-style comment
 	for range m {
 		n++
 	}

@@ -32,7 +32,7 @@ var wallclockAllowed = map[string][]string{
 		"Map",        // start time for TimeLimit + Result.Duration
 		"MapGreedy",  // Result.Duration measurement
 		"anneal",     // TimeLimit deadline check inside the movement loop
-		"runChain",   // portfolio chain's shared-deadline check (same start as Map)
+		"sweep",      // II sweep's shared-deadline check (same start as Map)
 		"pickWinner", // portfolio Result.Duration measurement
 	},
 	"internal/ilp": {

@@ -239,12 +239,21 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// hash64 is FNV-1a — stable across processes and Go versions, unlike
-// maphash.
+// hash64 is FNV-1a passed through murmur3's 64-bit finalizer (fmix64) —
+// stable across processes and Go versions, unlike maphash. FNV-1a alone
+// barely moves the high bits when only a string's last characters differ,
+// so a peer's "peer|replica" points would land in one clump of the ring;
+// the finalizer spreads every input bit over the whole word.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, s) // hash.Hash writes never fail
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // PayloadSHA is the hex SHA-256 of a model payload — the value both sides

@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -73,6 +78,36 @@ func TestOwnershipDistributionAndDeterminism(t *testing.T) {
 		if counts[p] < n/6 {
 			t.Fatalf("peer %s owns only %d/%d keys; ring badly skewed: %v", p, counts[p], n, counts)
 		}
+	}
+
+	// Two-node rings must split cache keys evenly whatever the ports: over
+	// random 127.0.0.1 port pairs, one node's share of SHA-256 keys stays
+	// near one half from the 5th to the 95th percentile.
+	keys := make([]string, 2000)
+	for i := range keys {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	rng := rand.New(rand.NewSource(1))
+	shares := make([]float64, 400)
+	for i := range shares {
+		pa, pb := 1024+rng.Intn(64512), 1024+rng.Intn(64512)
+		if pa == pb {
+			pb = 1024 + (pb-1024+1)%64512
+		}
+		a, b := fmt.Sprintf("http://127.0.0.1:%d", pa), fmt.Sprintf("http://127.0.0.1:%d", pb)
+		c := mustNew(t, Config{Self: a, Peers: []string{a, b}})
+		owned := 0
+		for _, k := range keys {
+			if c.OwnsSelf(k) {
+				owned++
+			}
+		}
+		shares[i] = float64(owned) / float64(len(keys))
+	}
+	sort.Float64s(shares)
+	if p5, p95 := shares[len(shares)*5/100], shares[len(shares)*95/100]; p5 < 0.40 || p95 > 0.60 {
+		t.Fatalf("two-node key share runs %.3f–%.3f from p5 to p95, want within 0.40–0.60", p5, p95)
 	}
 }
 

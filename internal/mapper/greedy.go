@@ -27,26 +27,12 @@ func MapGreedy(ar arch.Arch, g *dfg.Graph, opts Options) Result {
 
 	start := time.Now()
 	res := Result{}
-	maxII := ar.MaxII()
-	if opts.MaxII > 0 && opts.MaxII < maxII {
-		maxII = opts.MaxII
-	}
-	for ii := ar.MinII(g); ii <= maxII; ii++ {
+	for ii, maxII := ar.MinII(g), opts.maxII(ar); ii <= maxII; ii++ {
 		res.TriedIIs = append(res.TriedIIs, ii)
 		st := newState(ar, g, an, ii, lbl, config{}, opts.Alpha, nil)
 		st.faultToken = uint64(opts.Seed)
 		if greedyPass(st, an) {
-			res.OK = true
-			res.II = ii
-			res.PE = append([]int(nil), st.pe...)
-			res.Time = append([]int(nil), st.time...)
-			res.EdgeHops = make([]int, g.NumEdges())
-			res.Routes = make([][]int, g.NumEdges())
-			for e, p := range st.routes {
-				res.EdgeHops[e] = len(p) - 1
-				res.Routes[e] = append([]int(nil), p...)
-			}
-			res.RoutingCost = st.routingCost()
+			st.fill(&res)
 			break
 		}
 		if st.faultErr != nil {

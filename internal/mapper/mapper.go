@@ -16,7 +16,6 @@ package mapper
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/lisa-go/lisa/internal/arch"
@@ -183,55 +182,33 @@ func Map(ar arch.Arch, g *dfg.Graph, alg Algorithm, lbl *labels.Labels, opts Opt
 	if err := fault.Inject(fault.MapperAnneal, uint64(opts.Seed)); err != nil {
 		return Result{}, fmt.Errorf("mapper: %s engine: %w", alg, err)
 	}
+	p := newPortfolio(ar, g, an, alg, lbl, labelGuided, cfg, opts, start)
 	if opts.Restarts > 1 {
-		return mapPortfolio(ar, g, an, alg, lbl, labelGuided, cfg, opts, start)
+		return p.race()
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	maxII := ar.MaxII()
-	if opts.MaxII > 0 && opts.MaxII < maxII {
-		maxII = opts.MaxII
-	}
-	res := Result{}
-	for ii := ar.MinII(g); ii <= maxII; ii++ {
-		// The budget check gates the *start* of each II attempt: once the
-		// limit is exhausted no further attempt begins, so TriedIIs never
-		// records an II that was not allowed to run. (Checking only after
-		// an attempt would both start attempts with no budget left and skip
-		// the check entirely when an overrunning attempt succeeds.)
-		if opts.TimeLimit > 0 && time.Since(start) > opts.TimeLimit {
-			break
-		}
-		res.TriedIIs = append(res.TriedIIs, ii)
-		st := newState(ar, g, an, ii, lbl, cfg, opts.Alpha, rng)
-		st.faultToken = uint64(opts.Seed)
-		ok, moves := st.anneal(opts, start)
-		res.Moves += moves
-		if st.faultErr != nil {
-			res.Duration = time.Since(start)
-			return res, fmt.Errorf("mapper: %s engine: %w", alg, st.faultErr)
-		}
-		if ok {
-			res.OK = true
-			res.II = ii
-			res.PE = append([]int(nil), st.pe...)
-			res.Time = append([]int(nil), st.time...)
-			res.EdgeHops = make([]int, g.NumEdges())
-			res.Routes = make([][]int, g.NumEdges())
-			for e, p := range st.routes {
-				res.EdgeHops[e] = len(p) - 1
-				res.Routes[e] = append([]int(nil), p...)
-			}
-			res.RoutingCost = st.routingCost()
-			break
-		}
-	}
+	// K=1 is chain 0 of the portfolio run inline: no goroutine, no
+	// mapper.portfolio fault draw and no panic fence, so a single-chain
+	// run fails exactly as the annealer itself does.
+	out := p.sweep(0)
+	res := out.res
 	res.Duration = time.Since(start)
-	if !res.OK && opts.TimeLimit > 0 && res.Duration > opts.TimeLimit {
-		// The budget, not the search space, ended the sweep: the engine
-		// ladder uses this to substitute a deterministic greedy fallback.
-		res.DeadlineExceeded = true
+	if out.err != nil {
+		return res, fmt.Errorf("mapper: %s engine: %w", alg, out.err)
 	}
+	// The budget, not the search space, ended the sweep: the engine ladder
+	// uses this to substitute a deterministic greedy fallback.
+	res.DeadlineExceeded = out.deadline
 	return res, nil
+}
+
+// maxII is the highest II the sweep tries: the architecture's, or the
+// caller's lower override.
+func (o Options) maxII(ar arch.Arch) int {
+	m := ar.MaxII()
+	if o.MaxII > 0 && o.MaxII < m {
+		m = o.MaxII
+	}
+	return m
 }
 
 // config captures which parts of Algorithm 1 an engine uses.

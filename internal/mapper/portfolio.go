@@ -15,23 +15,20 @@
 //     "learned cost model steers search budget" direction of the SambaNova
 //     placement work applied to LISA's own labels.
 //
-// Chains cooperate through two atomics (portShared): a best-so-far II bound
-// that lets dominated chains abandon early, and a provably-optimal marker —
-// a chain that completes at the resource-minimal II with total hops equal to
-// the admissible lower bound (hopLowerBound) cannot be beaten, so every
-// higher-index chain stops.
+// Every chain runs the same II sweep (sweep), and K=1 is chain 0 run
+// inline. Chains cooperate through one atomic (portShared): a best-so-far
+// II bound that lets dominated chains abandon early.
 //
 // Determinism argument (the DESIGN.md "Portfolio annealing" section carries
 // the full version): a chain that completes an II attempt was never steered
 // by shared state — abandonment ends an attempt with failure, it never
 // alters placements or the RNG stream — so every completed result equals the
-// result of running that chain alone. A chain abandons only when a completed
-// result strictly dominates everything the chain could still produce
-// (a finished mapping at a strictly lower II, or a hop-optimal mapping at a
-// strictly lower chain index). The winner — minimum over chains of the key
-// (OK desc, II asc, hops asc, chain index asc) — is therefore the same
-// regardless of goroutine scheduling or worker count: the true winner can
-// never be the chain that got abandoned.
+// result of running that chain alone. A chain abandons only when another
+// chain has finished a mapping at a strictly lower II, which dominates
+// everything the abandoned attempt could still produce. The winner —
+// minimum over chains of the key (OK desc, II asc, hops asc, chain index
+// asc) — is therefore the same regardless of goroutine scheduling or worker
+// count: the true winner can never be the chain that got abandoned.
 package mapper
 
 import (
@@ -74,58 +71,33 @@ type PortfolioInfo struct {
 	Restarts int    `json:"restarts"` // portfolio width K actually raced
 	Winner   int    `json:"winner"`   // index of the winning chain
 	Variant  string `json:"variant"`  // winning chain's initial-placement family
-	// ProvablyOptimal reports that the winner completed at the
-	// resource-minimal II with total hops equal to HopLowerBound: no
-	// mapping of this DFG on this architecture can beat it on (II, hops).
-	ProvablyOptimal bool `json:"provablyOptimal,omitempty"`
-	// HopLowerBound is the admissible aggregate route-length bound at the
-	// resource-minimal II (see hopLowerBound).
-	HopLowerBound int `json:"hopLowerBound"`
-	// Budgets is the per-chain movement budget allocation.
-	Budgets []int `json:"budgets"`
+	Budgets  []int  `json:"budgets"`  // per-chain movement budget allocation
 }
 
-// portShared is the cross-chain cooperation state: two monotone atomics.
-// Chains only ever *shrink* both values, and a chain consults them only to
-// stop — never to steer a still-running attempt — which is what keeps every
-// completed chain result scheduling-independent.
+// portShared is the cross-chain cooperation state: the lowest II any chain
+// has completed a valid mapping at. Chains only ever shrink it, and a chain
+// consults it only to stop — never to steer a still-running attempt — which
+// is what keeps every completed chain result scheduling-independent.
 type portShared struct {
-	// bestII is the lowest II any chain has completed a valid mapping at.
-	// Every attempt at a strictly higher II is dominated and abandons.
 	bestII atomic.Int64
-	// optimalFrom is the lowest chain index that completed a provably
-	// hop-optimal mapping at the resource-minimal II. Chains with a higher
-	// index abandon: they can at best tie, and a tie loses the index
-	// tie-break. Lower-index chains must run to completion — they could tie
-	// and win.
-	optimalFrom atomic.Int64
 }
 
-// abandoned reports whether chain's attempt at ii can no longer win the
-// race. Polled from the annealing movement loop, so it must stay two plain
-// atomic loads.
+// abandoned reports whether an attempt at ii can no longer win the race:
+// some chain has already mapped at a strictly lower II. Polled from the
+// annealing movement loop, so it must stay one plain atomic load.
 //
-//lisa:hotpath polled every 64 movements by every portfolio chain; must stay allocation-free
-func (sh *portShared) abandoned(chain, ii int) bool {
-	return int64(ii) > sh.bestII.Load() || int64(chain) > sh.optimalFrom.Load()
+//lisa:hotpath polled every 64 movements by every annealing chain; must stay allocation-free
+func (sh *portShared) abandoned(ii int) bool {
+	return int64(ii) > sh.bestII.Load()
 }
 
-// publish records a chain's completed mapping: a CAS-min on the II bound,
-// and, when the mapping is provably hop-optimal at the minimal II, a
-// CAS-min on the optimal chain index.
-func (sh *portShared) publish(chain, ii, hops, minII, lb int) {
+// publish records a chain's completed mapping at ii: a CAS-min on the II
+// bound.
+func (sh *portShared) publish(ii int) {
 	for {
 		cur := sh.bestII.Load()
 		if int64(ii) >= cur || sh.bestII.CompareAndSwap(cur, int64(ii)) {
-			break
-		}
-	}
-	if ii == minII && hops <= lb {
-		for {
-			cur := sh.optimalFrom.Load()
-			if int64(chain) >= cur || sh.optimalFrom.CompareAndSwap(cur, int64(chain)) {
-				break
-			}
+			return
 		}
 	}
 }
@@ -134,7 +106,6 @@ func (sh *portShared) publish(chain, ii, hops, minII, lb int) {
 type chainResult struct {
 	res      Result
 	hops     int  // total routed hops when res.OK
-	optimal  bool // res hit the lower bound at the minimal II
 	deadline bool // the shared TimeLimit cut this chain short
 	err      error
 }
@@ -151,81 +122,102 @@ type portfolio struct {
 	start time.Time
 
 	minII, maxII int
-	lb           int // admissible aggregate hop lower bound at minII
 	variants     []uint8
 	budgets      []int
 	shared       *portShared
 }
 
-// mapPortfolio races opts.Restarts chains and returns the deterministic
-// winner. Called from Map with normalized options, after engineConfig has
-// applied per-engine budget scaling (so SA-M chains race 10× budgets, same
-// as its single chain) and after the mapper.anneal fault site has passed.
-func mapPortfolio(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, alg Algorithm,
-	lbl *labels.Labels, labelGuided bool, cfg config, opts Options, start time.Time) (Result, error) {
+// newPortfolio plans a race of opts.Restarts chains. Called from Map with
+// normalized options, after engineConfig has applied per-engine budget
+// scaling (so SA-M chains race 10× budgets, same as its single chain) and
+// after the mapper.anneal fault site has passed.
+func newPortfolio(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, alg Algorithm,
+	lbl *labels.Labels, labelGuided bool, cfg config, opts Options, start time.Time) *portfolio {
 
-	k := opts.Restarts
-	maxII := ar.MaxII()
-	if opts.MaxII > 0 && opts.MaxII < maxII {
-		maxII = opts.MaxII
-	}
+	maxII := opts.maxII(ar)
 	p := &portfolio{
 		ar: ar, g: g, an: an, alg: alg, lbl: lbl, cfg: cfg, opts: opts, start: start,
 		minII: ar.MinII(g), maxII: maxII,
 		shared: &portShared{},
 	}
 	p.shared.bestII.Store(int64(maxII) + 1)
-	p.shared.optimalFrom.Store(int64(k))
-	p.lb = hopLowerBound(ar, g, an, p.minII)
-	p.variants = chainVariants(k)
-	p.budgets = chainBudgets(k, opts.MaxMoves, labelGuided, lbl, p.variants)
+	p.variants = chainVariants(opts.Restarts)
+	p.budgets = chainBudgets(opts.Restarts, opts.MaxMoves, labelGuided, lbl, p.variants)
+	return p
+}
 
-	chains := make([]chainResult, k)
-	parallel.ForEach(opts.Workers, k, func(c int) {
+// race runs every chain of a K>1 portfolio and returns the deterministic
+// winner.
+func (p *portfolio) race() (Result, error) {
+	chains := make([]chainResult, p.opts.Restarts)
+	parallel.ForEach(p.opts.Workers, len(chains), func(c int) {
 		chains[c] = p.runChain(c)
 	})
 	return p.pickWinner(chains)
 }
 
-// runChain runs one chain's full II sweep in isolation semantics: the only
-// cross-chain influence is the abandonment poll, which can end the chain
-// early but never change what it would have produced. A panicking chain is
-// contained here (before parallel.ForEach's re-raise) and becomes an
-// errored chain — one poisoned chain must degrade to the survivors' winner,
-// never crash the race.
+// seed is chain c's annealer seed: chain 0 keeps the caller's, the others
+// derive theirs from it.
+func (p *portfolio) seed(c int) int64 {
+	if c == 0 {
+		return p.opts.Seed
+	}
+	return parallel.DeriveSeed(p.opts.Seed, c)
+}
+
+// runChain runs chain c of a K>1 race. A panicking chain is contained here
+// (before parallel.ForEach's re-raise) and becomes an errored chain — one
+// poisoned chain must degrade to the survivors' winner, never crash the
+// race.
 func (p *portfolio) runChain(c int) (out chainResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = chainResult{err: fmt.Errorf("mapper: %s engine chain %d panicked: %v", p.alg, c, r)}
 		}
 	}()
-	seed := p.opts.Seed
-	if c > 0 {
-		seed = parallel.DeriveSeed(p.opts.Seed, c)
-	}
 	// Fault site mapper.portfolio, streamed by the chain seed: each chain
 	// draws its own fault decision, so a sub-1 probability poisons a strict
 	// subset of the race deterministically.
-	if err := fault.Inject(fault.MapperPortfolio, uint64(seed)); err != nil {
-		return chainResult{err: fmt.Errorf("mapper: %s engine chain %d: %w", p.alg, c, err)}
+	err := fault.Inject(fault.MapperPortfolio, uint64(p.seed(c)))
+	if err == nil {
+		out = p.sweep(c)
+		err = out.err
 	}
+	if err != nil {
+		out.err = fmt.Errorf("mapper: %s engine chain %d: %w", p.alg, c, err)
+	}
+	return out
+}
+
+// sweep runs chain c's II sweep, the mapper's only annealing loop: it
+// anneals at each II from the resource-minimal one up and stops at the
+// first II that maps, at the deadline, or once another chain has mapped at
+// a lower II. The only cross-chain influence is that abandonment poll,
+// which can end the chain early but never change what it would have
+// produced. An injected router fault ends the sweep and comes back
+// unwrapped in out.err.
+func (p *portfolio) sweep(c int) (out chainResult) {
+	seed := p.seed(c)
 	opts := p.opts
 	opts.MaxMoves = p.budgets[c]
 	rng := rand.New(rand.NewSource(seed))
-	res := Result{}
+	res := &out.res
 	for ii := p.minII; ii <= p.maxII; ii++ {
+		// The budget check gates the *start* of each II attempt: once the
+		// limit is exhausted no further attempt begins, so TriedIIs never
+		// records an II that was not allowed to run. (Checking only after
+		// an attempt would both start attempts with no budget left and skip
+		// the check entirely when an overrunning attempt succeeds.)
 		if opts.TimeLimit > 0 && time.Since(p.start) > opts.TimeLimit {
-			out.deadline = true
 			break
 		}
-		if p.shared.abandoned(c, ii) {
+		if p.shared.abandoned(ii) {
 			break
 		}
 		res.TriedIIs = append(res.TriedIIs, ii)
 		st := newState(p.ar, p.g, p.an, ii, p.lbl, p.cfg, opts.Alpha, rng)
 		st.faultToken = uint64(seed)
 		st.shared = p.shared
-		st.chainIdx = c
 		if p.variants[c] == seedGreedy {
 			// Greedy-seeded chain: list-schedule the initial mapping (a
 			// partial placement on failure is fine — the movement loop
@@ -240,36 +232,18 @@ func (p *portfolio) runChain(c int) (out chainResult) {
 		ok, moves := st.anneal(opts, p.start)
 		res.Moves += moves
 		if st.faultErr != nil {
-			out.err = fmt.Errorf("mapper: %s engine chain %d: %w", p.alg, c, st.faultErr)
+			out.err = st.faultErr
 			return out
 		}
 		if ok {
-			res.OK = true
-			res.II = ii
-			res.PE = append([]int(nil), st.pe...)
-			res.Time = append([]int(nil), st.time...)
-			res.EdgeHops = make([]int, p.g.NumEdges())
-			res.Routes = make([][]int, p.g.NumEdges())
-			hops := 0
-			for e, path := range st.routes {
-				res.EdgeHops[e] = len(path) - 1
-				res.Routes[e] = append([]int(nil), path...)
-				hops += len(path) - 1
-			}
-			res.RoutingCost = st.routingCost()
-			out.hops = hops
-			out.optimal = ii == p.minII && hops <= p.lb
-			p.shared.publish(c, ii, hops, p.minII, p.lb)
+			out.hops = st.fill(res)
+			p.shared.publish(ii)
 			break
 		}
 	}
-	// The deadline can also cut the final II attempt mid-anneal (the
-	// movement loop checks it every 64 moves), in which case the sweep ends
-	// without reaching the loop-top check above.
-	if !res.OK && opts.TimeLimit > 0 && time.Since(p.start) > opts.TimeLimit {
-		out.deadline = true
-	}
-	out.res = res
+	// The deadline either stopped the sweep at the check above or cut its
+	// last attempt mid-anneal (the movement loop checks it every 64 moves).
+	out.deadline = !res.OK && opts.TimeLimit > 0 && time.Since(p.start) > opts.TimeLimit
 	return out
 }
 
@@ -314,8 +288,7 @@ func (p *portfolio) pickWinner(chains []chainResult) (Result, error) {
 	if winner < 0 {
 		return Result{}, chains[firstErr].err
 	}
-	w := &chains[winner]
-	res := w.res
+	res := chains[winner].res
 	res.Duration = time.Since(p.start)
 	if deadline {
 		// At least one chain was wall-clock-cut: the race did not run to
@@ -326,12 +299,10 @@ func (p *portfolio) pickWinner(chains []chainResult) (Result, error) {
 		res.DeadlineExceeded = true
 	}
 	res.Portfolio = &PortfolioInfo{
-		Restarts:        len(chains),
-		Winner:          winner,
-		Variant:         variantName(p.variants[winner]),
-		ProvablyOptimal: w.optimal,
-		HopLowerBound:   p.lb,
-		Budgets:         p.budgets,
+		Restarts: len(chains),
+		Winner:   winner,
+		Variant:  variantName(p.variants[winner]),
+		Budgets:  p.budgets,
 	}
 	return res, nil
 }
@@ -404,110 +375,4 @@ func labelConfidence(l *labels.Labels) float64 {
 		sum += 1 / t
 	}
 	return sum / float64(len(l.Temporal))
-}
-
-// hopLowerBound is an admissible lower bound on the total routed hop count
-// of ANY valid mapping at the resource-minimal II — the certificate behind
-// the portfolio's provable early exit. Two placement-independent facts
-// bound each DFG edge's route length (EdgeHops[e] = time[to] − time[from],
-// the exact-length router's contract):
-//
-//   - dependency: every DFG path u→…→v forces time[v] − time[u] to be at
-//     least the path's length (each edge advances time by ≥ 1), so the
-//     longest u→v path length lower-bounds the direct edge's hop count;
-//   - geometry: a route advances at most one spatial step per hop, so the
-//     hop count is at least the spatial distance between the endpoint PEs —
-//     and hence at least the minimum distance over PE pairs whose FUs can
-//     host the two ops at all (the ShortestHops argument on an empty
-//     fabric).
-//
-// Both hold for every placement, so the edge-wise max of the two, summed
-// over edges, is admissible: a mapping that completes at the minimal II
-// with exactly this many hops cannot be beaten on (II, hops), and the
-// chain that found it may cancel every higher-index chain.
-func hopLowerBound(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, minII int) int {
-	n := g.NumNodes()
-	topoPos := make([]int, n)
-	for i, v := range an.Topo {
-		topoPos[v] = i
-	}
-
-	// PEs able to host each op kind somewhere in the minII schedule window,
-	// and the minimum spatial distance between hosting PE pairs, both
-	// memoized — kernels use a handful of op kinds.
-	rg := ar.BuildRGraph(minII)
-	numPE := ar.NumPEs()
-	hostPEs := map[uint8][]int{}
-	hosts := func(op uint8) []int {
-		if s, ok := hostPEs[op]; ok {
-			return s
-		}
-		s := []int{}
-		for pe := 0; pe < numPE; pe++ {
-			for c := 0; c < minII; c++ {
-				if rg.Nodes[rg.FUAt(pe, c)].AllowsOp(op) {
-					s = append(s, pe)
-					break
-				}
-			}
-		}
-		hostPEs[op] = s
-		return s
-	}
-	minDist := map[[2]uint8]int{}
-	opDist := func(a, b uint8) int {
-		key := [2]uint8{a, b}
-		if d, ok := minDist[key]; ok {
-			return d
-		}
-		best := -1
-		for _, pa := range hosts(a) {
-			for _, pb := range hosts(b) {
-				if d := ar.SpatialDistance(pa, pb); best < 0 || d < best {
-					best = d
-				}
-			}
-		}
-		if best < 0 {
-			// An op kind no FU hosts: every chain fails anyway, and an
-			// admissible bound must not promise hops a mapping can't have.
-			best = 0
-		}
-		minDist[key] = best
-		return best
-	}
-
-	dist := make([]int, n)
-	total := 0
-	for u := 0; u < n; u++ {
-		if len(g.OutEdges(u)) == 0 {
-			continue
-		}
-		// Longest paths from u, one topo-order DP pass (graphs are small;
-		// this runs once per portfolio Map call).
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[u] = 0
-		for i := topoPos[u]; i < n; i++ {
-			x := an.Topo[i]
-			if dist[x] < 0 {
-				continue
-			}
-			for _, s := range g.Succ(x) {
-				if dist[x]+1 > dist[s] {
-					dist[s] = dist[x] + 1
-				}
-			}
-		}
-		for _, e := range g.OutEdges(u) {
-			v := g.Edges[e].To
-			lb := dist[v] // ≥ 1: the edge itself is a u→v path
-			if d := opDist(uint8(g.Nodes[u].Op), uint8(g.Nodes[v].Op)); d > lb {
-				lb = d
-			}
-			total += lb
-		}
-	}
-	return total
 }

@@ -121,61 +121,6 @@ func sum(xs []int) int {
 	return t
 }
 
-// hopLowerBound must be admissible: no valid mapping at the resource-minimal
-// II may route fewer total hops than the bound claims.
-func TestPortfolioHopLowerBoundAdmissible(t *testing.T) {
-	ar := arch.NewBaseline4x4()
-	for gseed := int64(1); gseed <= 8; gseed++ {
-		g := dfg.Random(rand.New(rand.NewSource(gseed)), dfg.DefaultRandomConfig(), "prop")
-		an := dfg.Analyze(g)
-		lb := hopLowerBound(ar, g, an, ar.MinII(g))
-		for seed := int64(1); seed <= 3; seed++ {
-			res := mustMap(t, ar, g, AlgLISA, nil, Options{Seed: seed, MaxMoves: 800})
-			if !res.OK || res.II != ar.MinII(g) {
-				continue
-			}
-			if got := sum(res.EdgeHops); got < lb {
-				t.Fatalf("graph %d seed %d: mapping routes %d hops below the 'lower' bound %d",
-					gseed, seed, got, lb)
-			}
-		}
-	}
-}
-
-// A kernel whose optimal hop count is trivially reachable must trigger the
-// provable early exit: the winner completes at the minimal II with hops
-// equal to the lower bound and is labeled ProvablyOptimal.
-func TestPortfolioProvablyOptimalEarlyExit(t *testing.T) {
-	g := dfg.New("chain4")
-	a := g.AddNode("a", dfg.OpLoad)
-	b := g.AddNode("b", dfg.OpAdd)
-	c := g.AddNode("c", dfg.OpMul)
-	d := g.AddNode("d", dfg.OpStore)
-	g.AddEdge(a, b)
-	g.AddEdge(b, c)
-	g.AddEdge(c, d)
-
-	ar := arch.NewBaseline4x4()
-	res := mustMap(t, ar, g, AlgLISA, nil, Options{Seed: 1, MaxMoves: 2000, Restarts: 4})
-	if !res.OK {
-		t.Fatal("chain kernel did not map")
-	}
-	p := res.Portfolio
-	if p == nil {
-		t.Fatal("no portfolio info")
-	}
-	if p.HopLowerBound != 3 {
-		t.Fatalf("chain of 3 edges: lower bound %d, want 3", p.HopLowerBound)
-	}
-	if !p.ProvablyOptimal {
-		t.Fatalf("winner II=%d hops=%d lb=%d not labeled provably optimal",
-			res.II, sum(res.EdgeHops), p.HopLowerBound)
-	}
-	if sum(res.EdgeHops) != p.HopLowerBound {
-		t.Fatalf("provably-optimal winner routes %d hops, bound is %d", sum(res.EdgeHops), p.HopLowerBound)
-	}
-}
-
 // One poisoned chain degrades the race to the surviving chains' winner —
 // deterministically, and never a crash — for both error- and panic-mode
 // faults. With every chain poisoned the portfolio surfaces the injected
@@ -231,8 +176,39 @@ func TestChaosPortfolioChainFaultDegradesToSurvivors(t *testing.T) {
 	}
 }
 
-// A provable early exit (or any abandonment) must not leak the losing
-// chains' goroutines: parallel.ForEach joins every worker before the
+// K=1 runs chain 0 inline, outside the race's fault site: an armed
+// mapper.portfolio never fires on it, and a router fault surfaces with the
+// engine's own prefix, not a chain's.
+func TestChaosK1SkipsPortfolioFaultSite(t *testing.T) {
+	ar := arch.NewBaseline4x4()
+	g := kernels.MustByName("gemm")
+	opts := Options{Seed: 5, MaxMoves: 400, Restarts: 1}
+	want := mustMap(t, ar, g, AlgSA, nil, opts)
+	defer fault.Deactivate()
+	for _, spec := range []string{"mapper.portfolio=error:1", "router.route=error:1"} {
+		plan, err := fault.ParsePlan(spec, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fault.Activate(plan); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Map(ar, g, AlgSA, nil, opts)
+		if spec == "router.route=error:1" {
+			if err == nil || err.Error() != "mapper: sa engine: fault: injected error at router.route" {
+				t.Fatalf("%s: error %v", spec, err)
+			}
+		} else if err != nil || !bytes.Equal(resultBytes(t, want), resultBytes(t, got)) {
+			t.Fatalf("%s changed a K=1 run: err %v", spec, err)
+		}
+		if fired := fault.Counts()[fault.MapperPortfolio]; fired != 0 {
+			t.Fatalf("%s: K=1 drew mapper.portfolio %d times", spec, fired)
+		}
+	}
+}
+
+// A race must not leak its chains' goroutines, whether a chain finishes or
+// abandons its sweep: parallel.ForEach joins every worker before the
 // portfolio returns.
 func TestPortfolioEarlyExitLeaksNoGoroutines(t *testing.T) {
 	g := dfg.New("chain3")

@@ -107,11 +107,10 @@ type state struct {
 	faultToken uint64 // per-request fault stream token (the annealer seed)
 	faultErr   error  // first injected router fault; aborts the sweep
 
-	// Portfolio hooks (portfolio.go); all zero on single-chain runs.
+	// Portfolio hooks (portfolio.go), set by sweep.
 	preSeeded  bool        // the chain already built the initial placement (greedy seed)
 	randomSeed bool        // uniform-random initial placement: labels off during the seed
-	shared     *portShared // cross-chain abandonment state; nil outside a portfolio
-	chainIdx   int         // this chain's index in the race
+	shared     *portShared // cross-chain abandonment state; set on every annealing state
 }
 
 type peUndo struct {
@@ -256,10 +255,10 @@ func (st *state) anneal(opts Options, start time.Time) (bool, int) {
 		if opts.TimeLimit > 0 && moves%64 == 0 && time.Since(start) > opts.TimeLimit {
 			return false, moves
 		}
-		if st.shared != nil && moves%64 == 0 && st.shared.abandoned(st.chainIdx, st.ii) {
-			// Another portfolio chain completed at a strictly lower II (or a
-			// lower-index chain proved hop-optimality): this attempt can no
-			// longer win the race, so stop spending its budget.
+		if moves%64 == 0 && st.shared.abandoned(st.ii) {
+			// Another portfolio chain completed at a strictly lower II: this
+			// attempt can no longer win the race, so stop spending its
+			// budget.
 			return false, moves
 		}
 		st.beginTxn()
@@ -362,6 +361,25 @@ func (st *state) assertTally(when string) {
 	if st.valid() != st.validFull() {
 		panic(fmt.Sprintf("mapper: incremental validity drifted %s: tally %v", when, st.tally))
 	}
+}
+
+// fill copies the state's complete mapping into res as an OK result at
+// st.ii and returns its total routed hops.
+func (st *state) fill(res *Result) int {
+	res.OK = true
+	res.II = st.ii
+	res.PE = append([]int(nil), st.pe...)
+	res.Time = append([]int(nil), st.time...)
+	res.EdgeHops = make([]int, len(st.routes))
+	res.Routes = make([][]int, len(st.routes))
+	hops := 0
+	for e, p := range st.routes {
+		res.EdgeHops[e] = len(p) - 1
+		res.Routes[e] = append([]int(nil), p...)
+		hops += len(p) - 1
+	}
+	res.RoutingCost = st.routingCost()
+	return hops
 }
 
 // routingCost counts intermediate resources consumed by all routes.

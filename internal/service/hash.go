@@ -27,6 +27,10 @@ const keyStackBytes = 4608
 // "MaxMoves: 0" and the explicit default share an entry) with the seed, and
 // whether the body carries the utilization report.
 //
+// The header's first line names the body format: it moves to a new version
+// whenever equal requests start getting different body bytes (v2 dropped
+// the portfolio's hopLowerBound), so no stored body outlives its format.
+//
 // The header is built with strconv appends into a stack buffer and hashed
 // with one sha256.Sum256 call. Its bytes are exactly those the original
 // fmt.Fprintf encoding produced (%d → AppendInt, %g → AppendFloat 'g' -1),
@@ -38,7 +42,7 @@ const keyStackBytes = 4608
 func cacheKey(canon []byte, kernel, archName string, eng engine.Name, opts mapper.Options, deadlineMS int64, stats bool) string {
 	var stack [keyStackBytes]byte
 	b := stack[:0]
-	b = append(b, "lisa-serve/v1\narch="...)
+	b = append(b, "lisa-serve/v2\narch="...)
 	b = append(b, archName...)
 	b = append(b, "\nengine="...)
 	b = append(b, eng...)

@@ -25,7 +25,7 @@ import (
 // by these bytes, so a plain (stats-free) request must key exactly as here.
 func fmtCacheKey(g *dfg.Graph, kernel, archName string, eng engine.Name, opts mapper.Options, deadlineMS int64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "lisa-serve/v1\narch=%s\nengine=%s\ndeadlineMs=%d\n", archName, eng, deadlineMS)
+	fmt.Fprintf(h, "lisa-serve/v2\narch=%s\nengine=%s\ndeadlineMs=%d\n", archName, eng, deadlineMS)
 	if kernel != "" {
 		fmt.Fprintf(h, "kernel=%s\n", kernel)
 	}
