@@ -31,7 +31,8 @@ examples:
 	go run ./examples/customarch
 	go run ./examples/newaccel
 
-# Regenerate every figure with the quick profile; JSON+SVG land in results/.
+# Regenerate every figure with the quick profile. Tables print to stdout;
+# JSON+SVG land in results/ for the Fig. 9 panels only.
 figures:
 	go run ./cmd/lisa-bench -exp all -out results -shapes
 

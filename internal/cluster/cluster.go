@@ -52,7 +52,7 @@ import (
 const ForwardedHeader = "X-Lisa-Forwarded"
 
 // ModelSHAHeader and ModelLenHeader self-describe a served model payload —
-// the HTTP mirror of the store's "lisa-store/v1 <sha256> <length>" entry
+// the HTTP mirror of the store's "<store.Format> <sha256> <length>" entry
 // header. The fetching side verifies both against the received body before
 // it even tries gnn.Load, so a torn proxy response is caught at the wire.
 const (
@@ -92,19 +92,6 @@ type Config struct {
 	Self string
 	// Peers lists every node of the fleet, including Self.
 	Peers []string
-	// Replicas is the number of virtual ring points per peer (default 64);
-	// more points smooth the key distribution.
-	Replicas int
-	// RPCTimeout bounds one proxied mapping call (default 150s — above the
-	// service's maximum request deadline, so the peer's own deadline
-	// handling, not the transport, decides slow requests).
-	RPCTimeout time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
-	// FetchTimeout bounds one model-fetch attempt (default 10s — a model
-	// file is a few hundred KB of JSON; anything slower is a sick peer and
-	// local training is the better spend).
-	FetchTimeout time.Duration
 	// BackoffBase and BackoffMax shape the failure backoff
 	// base×2^(failures−1), capped at max (defaults 250ms and 8s).
 	BackoffBase time.Duration
@@ -115,6 +102,22 @@ type Config struct {
 	// Transport overrides the HTTP transport (tests).
 	Transport http.RoundTripper
 }
+
+const (
+	// replicas is the number of virtual ring points per peer; more points
+	// smooth the key distribution.
+	replicas = 64
+	// rpcTimeout bounds one proxied mapping call. It sits above the
+	// service's maximum request deadline, so the peer's own deadline
+	// handling, not the transport, decides slow requests.
+	rpcTimeout = 150 * time.Second
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
+	// fetchTimeout bounds one model-fetch attempt: a model file is a few
+	// hundred KB of JSON, so anything slower is a sick peer and local
+	// training is the better spend.
+	fetchTimeout = 10 * time.Second
+)
 
 // point is one virtual ring position.
 type point struct {
@@ -181,10 +184,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	sort.Strings(peers)
 
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 64
-	}
 	c := &Cluster{
 		self:     strings.TrimRight(strings.TrimSpace(cfg.Self), "/"),
 		peers:    peers,
@@ -204,18 +203,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if c.backoffM <= 0 {
 		c.backoffM = 8 * time.Second
-	}
-	rpcTimeout := cfg.RPCTimeout
-	if rpcTimeout <= 0 {
-		rpcTimeout = 150 * time.Second
-	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = 2 * time.Second
-	}
-	fetchTimeout := cfg.FetchTimeout
-	if fetchTimeout <= 0 {
-		fetchTimeout = 10 * time.Second
 	}
 	c.client = &http.Client{Timeout: rpcTimeout, Transport: cfg.Transport}
 	c.probe = &http.Client{Timeout: probeTimeout, Transport: cfg.Transport}

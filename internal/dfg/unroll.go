@@ -5,11 +5,12 @@ import "fmt"
 // Unroll replicates the DFG body factor times, modelling loop unrolling of
 // the kernel (the paper evaluates unrolling factor 2). Replicas of constant
 // (loop-invariant) nodes are shared rather than duplicated — a compiler would
-// CSE them — and consecutive iterations are chained through their memory
-// accesses: the i-th replica's first load depends on the (i-1)-th replica's
-// first store address chain only via the shared constants, so replicas stay
-// weakly connected through the shared invariants. When a body has no constant
-// node, a synthetic shared index constant is introduced.
+// merge them as common subexpressions — and consecutive iterations are
+// chained through their memory accesses: the i-th replica's first load
+// depends on the (i-1)-th replica's first store address chain only via the
+// shared constants, so replicas stay weakly connected through the shared
+// invariants. When a body has no constant node, a synthetic shared index
+// constant is introduced.
 func Unroll(g *Graph, factor int) *Graph {
 	if factor < 1 {
 		panic("dfg: unroll factor must be >= 1")

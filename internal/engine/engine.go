@@ -65,13 +65,6 @@ func (n Name) UsesLabels() bool {
 	return false
 }
 
-// Deterministic reports whether the engine's result is a pure function of
-// (DFG, architecture, options, seed). The SA family and greedy qualify; the
-// ILP mapper's outcome depends on its wall-clock time budget.
-func (n Name) Deterministic() bool {
-	return n != ILP
-}
-
 // Options carries the budgets for both engine families; only the half
 // matching the selected engine is consulted.
 type Options struct {

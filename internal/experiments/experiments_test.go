@@ -203,16 +203,6 @@ func TestExportJSONAndSVG(t *testing.T) {
 	if !strings.Contains(sbuf.String(), "<svg") {
 		t.Error("SVG export malformed")
 	}
-	rows := Fig10(cmp, power.DefaultParams())
-	var pbuf strings.Builder
-	if err := WritePowerSVG(&pbuf, cmp, rows, power.DefaultParams()); err != nil {
-		t.Fatal(err)
-	}
-	trows := Fig11(cmp)
-	var tbuf strings.Builder
-	if err := WriteTimesSVG(&tbuf, cmp, trows); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestShapeChecks(t *testing.T) {

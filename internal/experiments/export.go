@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/lisa-go/lisa/internal/power"
 	"github.com/lisa-go/lisa/internal/visual"
 )
 
@@ -89,43 +88,4 @@ func (cmp *Comparison) WriteSVG(w io.Writer) error {
 	}
 	title := fmt.Sprintf("%s — %s (II, lower is better; x = cannot map)", cmp.Label, cmp.Arch.Name())
 	return visual.WriteBarChart(w, title, "II", cats, series)
-}
-
-// WritePowerSVG renders Fig. 10 rows as a chart.
-func WritePowerSVG(w io.Writer, cmp *Comparison, rows []PowerRow, params power.ModelParams) error {
-	var cats []string
-	for _, r := range rows {
-		cats = append(cats, r.Kernel)
-	}
-	var series []visual.Series
-	for _, m := range cmp.Methods {
-		s := visual.Series{Name: string(m), Values: map[string]float64{}}
-		for _, r := range rows {
-			if v, ok := r.Normalized[m]; ok {
-				s.Values[r.Kernel] = v
-			}
-		}
-		series = append(series, s)
-	}
-	title := fmt.Sprintf("%s — MOPS/W normalized to LISA", cmp.Arch.Name())
-	return visual.WriteBarChart(w, title, "norm. MOPS/W", cats, series)
-}
-
-// WriteTimesSVG renders Fig. 11 rows as a chart (log-ish view is avoided;
-// raw milliseconds with the paper's termination-time convention).
-func WriteTimesSVG(w io.Writer, cmp *Comparison, rows []TimeRow) error {
-	var cats []string
-	for _, r := range rows {
-		cats = append(cats, r.Kernel)
-	}
-	var series []visual.Series
-	for _, m := range cmp.Methods {
-		s := visual.Series{Name: string(m), Values: map[string]float64{}}
-		for _, r := range rows {
-			s.Values[r.Kernel] = float64(r.Times[m].Milliseconds())
-		}
-		series = append(series, s)
-	}
-	title := fmt.Sprintf("%s — compilation time (ms)", cmp.Arch.Name())
-	return visual.WriteBarChart(w, title, "ms", cats, series)
 }

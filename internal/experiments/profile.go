@@ -121,10 +121,6 @@ func NewContext(p Profile) *Context {
 	}
 }
 
-// Registry exposes the underlying model registry (for pre-seeding with
-// offline-trained models before running figures).
-func (c *Context) Registry() *registry.Registry { return c.reg }
-
 // ModelFor returns the trained GNN model for ar, training it on first use
 // (training-data generation + four-network training, §V and §IV). Safe to
 // call from concurrent grid cells; the model for each architecture is
@@ -137,16 +133,6 @@ func (c *Context) ModelFor(ar arch.Arch) *gnn.Model {
 		panic("experiments: " + err.Error())
 	}
 	return m
-}
-
-// TrainStats reports the dataset-generation stats behind ar's cached model,
-// training it on first use like ModelFor.
-func (c *Context) TrainStats(ar arch.Arch) traingen.Stats {
-	stats, err := c.reg.StatsFor(ar)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return stats
 }
 
 // Method names a mapping approach in experiment output.

@@ -294,19 +294,6 @@ func Counts() map[Site]int64 {
 	return out
 }
 
-// CountsString renders the fire counts in stable order, for logs and tests.
-func CountsString() string {
-	c := Counts()
-	var parts []string
-	for _, site := range Sites() {
-		if n, ok := c[site]; ok {
-			parts = append(parts, fmt.Sprintf("%s:%d", site, n))
-		}
-	}
-	sort.Strings(parts) // Sites() order is already stable; sort keeps callers honest
-	return strings.Join(parts, ",")
-}
-
 // Token hashes a string (an arch name, a model path) into a stream token
 // for sites that have no request seed in scope. FNV-1a, 64-bit.
 func Token(s string) uint64 {

@@ -16,7 +16,6 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"github.com/lisa-go/lisa/internal/dfg"
@@ -144,17 +143,6 @@ func Unrolled(name string) (*dfg.Graph, error) {
 		return nil, err
 	}
 	return k.Build(2), nil
-}
-
-// All builds every kernel, sorted by name (for deterministic iteration).
-func All() []*dfg.Graph {
-	names := Names()
-	sort.Strings(names)
-	out := make([]*dfg.Graph, 0, len(names))
-	for _, n := range names {
-		out = append(out, MustByName(n))
-	}
-	return out
 }
 
 // gemm: C[i][j] += alpha * A[i][k] * B[k][j] (inner k-loop body).

@@ -106,18 +106,6 @@ func TestUnrolledSets(t *testing.T) {
 	}
 }
 
-func TestAllSortedAndComplete(t *testing.T) {
-	all := All()
-	if len(all) != 12 {
-		t.Fatalf("All() = %d kernels, want 12", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].Name >= all[i].Name {
-			t.Fatal("All() must be sorted by name")
-		}
-	}
-}
-
 func TestSyr2kIsDensest(t *testing.T) {
 	// The paper leans on syr2k being hard for vanilla SA; sanity-check that
 	// it has the widest const fanout of the suite.

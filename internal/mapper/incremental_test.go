@@ -160,13 +160,13 @@ func TestPlacementOrderIndex(t *testing.T) {
 	}
 }
 
-// TestIncrementalCostMatchesFullRecompute arms the debug assertion that
+// TestIncrementalCostMatchesFullRecompute installs the tally check that
 // cross-checks the running tally against a from-scratch recompute after every
 // movement and every rollback, then drives full Map runs across engines and
 // seeds. Any drift panics inside the anneal loop.
 func TestIncrementalCostMatchesFullRecompute(t *testing.T) {
-	debugCostCheck = true
-	defer func() { debugCostCheck = false }()
+	checkTally = assertTally
+	defer func() { checkTally = nil }()
 	ar := arch.NewBaseline4x4()
 	for _, alg := range []Algorithm{AlgSA, AlgLISA, AlgPart} {
 		for gseed := int64(1); gseed <= 2; gseed++ {

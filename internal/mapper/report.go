@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/lisa-go/lisa/internal/arch"
@@ -123,20 +122,4 @@ func ScheduleTable(ar arch.Arch, g *dfg.Graph, r *Result) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// CriticalEdges returns the edge IDs sorted by route length, longest first —
-// the "long edges need more routing resources" view that motivates label 4.
-func CriticalEdges(g *dfg.Graph, r *Result) []int {
-	ids := make([]int, g.NumEdges())
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if r.EdgeHops[ids[a]] != r.EdgeHops[ids[b]] {
-			return r.EdgeHops[ids[a]] > r.EdgeHops[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }

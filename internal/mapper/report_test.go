@@ -61,24 +61,6 @@ func TestScheduleTable(t *testing.T) {
 	}
 }
 
-func TestCriticalEdges(t *testing.T) {
-	ar := arch.NewBaseline4x4()
-	g := kernels.MustByName("atax")
-	res := mustMap(t, ar, g, AlgLISA, nil, quickOpts(3))
-	if !res.OK {
-		t.Fatal("map failed")
-	}
-	ids := CriticalEdges(g, &res)
-	if len(ids) != g.NumEdges() {
-		t.Fatalf("edge count %d", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if res.EdgeHops[ids[i-1]] < res.EdgeHops[ids[i]] {
-			t.Fatal("edges not sorted by route length")
-		}
-	}
-}
-
 func TestMapOnTorusAndHetero(t *testing.T) {
 	// The new variants must be mappable out of the box — portability.
 	for _, ar := range []arch.Arch{arch.NewTorus4x4(), arch.NewHetero4x4()} {

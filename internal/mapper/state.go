@@ -1,7 +1,6 @@
 package mapper
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -24,10 +23,10 @@ const (
 	costTooFar     = 20.0 // placement-candidate penalty for spatial > dt
 )
 
-// debugCostCheck, when set (by tests only — never in production paths),
-// asserts after every movement and rollback that the incrementally
-// maintained cost tally agrees with a from-scratch recompute.
-var debugCostCheck bool
+// checkTally, nil outside tests, runs after every movement and rollback of
+// the anneal loop; the incremental-cost tests install a check that the
+// incrementally maintained cost tally agrees with a from-scratch recompute.
+var checkTally func(*state, string)
 
 // pairRef links a node to one same-level partner and the label-2 value of
 // their dummy edge.
@@ -224,11 +223,6 @@ func (st *state) fuAt(pe, t int) int {
 	return int(st.fuTab[(t%st.ii)*st.numPE+pe])
 }
 
-// dist is the dense SpatialDistance.
-func (st *state) dist(a, b int) int {
-	return int(st.distTab[a*st.numPE+b])
-}
-
 // anneal runs the movement loop; it returns success and the movement count.
 //
 //lisa:hotpath the SA move/route loop is the mapper's entire runtime; BENCH_mapper.json gates allocs per move
@@ -263,8 +257,8 @@ func (st *state) anneal(opts Options, start time.Time) (bool, int) {
 		}
 		st.beginTxn()
 		st.movement()
-		if debugCostCheck {
-			st.assertTally("after movement")
+		if checkTally != nil {
+			checkTally(st, "after movement")
 		}
 		moves++
 		st.attempted++
@@ -279,8 +273,8 @@ func (st *state) anneal(opts Options, start time.Time) (bool, int) {
 			st.commitTxn()
 		} else {
 			st.rollbackTxn()
-			if debugCostCheck {
-				st.assertTally("after rollback")
+			if checkTally != nil {
+				checkTally(st, "after rollback")
 			}
 		}
 		if moves%opts.MovesPerTemp == 0 {
@@ -314,53 +308,6 @@ func (st *state) cost() float64 {
 	return costUnplaced*float64(st.tally.unplaced) +
 		costFailedEdge*float64(st.tally.failed) +
 		float64(st.tally.hops)
-}
-
-// costFull recomputes the objective from scratch; it is the reference the
-// debug assertion and the incremental-cost tests compare cost() against.
-func (st *state) costFull() float64 {
-	c := 0.0
-	for _, p := range st.pe {
-		if p < 0 {
-			c += costUnplaced
-		}
-	}
-	for e, r := range st.routes {
-		if r == nil {
-			ed := st.g.Edges[e]
-			if st.pe[ed.From] >= 0 && st.pe[ed.To] >= 0 {
-				c += costFailedEdge
-			}
-			continue
-		}
-		c += float64(len(r) - 1)
-	}
-	return c
-}
-
-// validFull is the reference full-scan validity check.
-func (st *state) validFull() bool {
-	for _, p := range st.pe {
-		if p < 0 {
-			return false
-		}
-	}
-	for _, r := range st.routes {
-		if r == nil {
-			return false
-		}
-	}
-	return true
-}
-
-func (st *state) assertTally(when string) {
-	if got, want := st.cost(), st.costFull(); got != want {
-		panic(fmt.Sprintf("mapper: incremental cost drifted %s: tally %v -> %v, recompute %v",
-			when, st.tally, got, want))
-	}
-	if st.valid() != st.validFull() {
-		panic(fmt.Sprintf("mapper: incremental validity drifted %s: tally %v", when, st.tally))
-	}
 }
 
 // fill copies the state's complete mapping into res as an OK result at

@@ -130,7 +130,6 @@ type entry struct {
 	state trainState
 	done  chan struct{} // closed when the in-flight resolution settles (busy only)
 	model *gnn.Model
-	stats traingen.Stats
 	err   error
 
 	prov     Provenance // how model was obtained (ready slots)
@@ -166,7 +165,6 @@ func (r *Registry) Put(m *gnn.Model) bool {
 	}
 	e.state = stateReady
 	e.model = m
-	e.stats = traingen.Stats{}
 	e.err = nil
 	e.prov = ProvLoaded
 	e.source = ""
@@ -397,13 +395,13 @@ func (r *Registry) ModelFor(ar arch.Arch) (*gnn.Model, error) {
 		e.done = make(chan struct{})
 		r.mu.Unlock()
 
-		m, stats, prov, source, err := r.resolve(fetch, ar)
+		m, prov, source, err := r.resolve(fetch, ar)
 
 		r.mu.Lock()
 		switch {
 		case m != nil:
 			e.state = stateReady
-			e.model, e.stats, e.err = m, stats, nil
+			e.model, e.err = m, nil
 			e.prov, e.source = prov, source
 			if prov == ProvShipped {
 				// A trained install keeps the fetch trace: /v1/archs then
@@ -433,7 +431,7 @@ func (r *Registry) ModelFor(ar arch.Arch) (*gnn.Model, error) {
 // resolve runs the acquisition ladder outside the registry lock and
 // reports what it got: the model plus its provenance, or the error of the
 // last rung tried (prov then tells the caller which rung failed).
-func (r *Registry) resolve(fetch FetchFunc, ar arch.Arch) (*gnn.Model, traingen.Stats, Provenance, string, error) {
+func (r *Registry) resolve(fetch FetchFunc, ar arch.Arch) (*gnn.Model, Provenance, string, error) {
 	name := ar.Name()
 	var fetchErr error
 	if fetch != nil {
@@ -442,7 +440,7 @@ func (r *Registry) resolve(fetch FetchFunc, ar arch.Arch) (*gnn.Model, traingen.
 		if err == nil {
 			r.ctr.Fetches++
 			r.mu.Unlock()
-			return m, traingen.Stats{}, ProvShipped, source, nil
+			return m, ProvShipped, source, nil
 		}
 		r.ctr.FetchErrors++
 		r.entries[name].fetchErr = err // slot exists and is busy-held by us
@@ -451,32 +449,32 @@ func (r *Registry) resolve(fetch FetchFunc, ar arch.Arch) (*gnn.Model, traingen.
 	}
 	if !r.cfg.TrainOnDemand {
 		if fetchErr != nil {
-			return nil, traingen.Stats{}, ProvShipped, "", fetchErr
+			return nil, ProvShipped, "", fetchErr
 		}
-		return nil, traingen.Stats{}, "", "", fmt.Errorf("registry: no model loaded for %q and on-demand training is disabled", name)
+		return nil, "", "", fmt.Errorf("registry: no model loaded for %q and on-demand training is disabled", name)
 	}
 	r.mu.Lock()
 	r.ctr.TrainRuns++
 	r.mu.Unlock()
-	m, stats, err := r.train(ar)
+	m, err := r.train(ar)
 	if err != nil {
-		return nil, traingen.Stats{}, ProvTrained, "", err
+		return nil, ProvTrained, "", err
 	}
-	return m, stats, ProvTrained, "", nil
+	return m, ProvTrained, "", nil
 }
 
 // train runs one on-demand training pass outside the registry lock. A panic
 // anywhere in generation or training (an injected fault or an organic bug)
 // becomes the slot's cached error instead of a crashed caller.
-func (r *Registry) train(ar arch.Arch) (m *gnn.Model, stats traingen.Stats, err error) {
+func (r *Registry) train(ar arch.Arch) (m *gnn.Model, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			m, stats = nil, traingen.Stats{}
+			m = nil
 			err = fmt.Errorf("registry: training for %q panicked: %v", ar.Name(), rec)
 		}
 	}()
 	if err := fault.Inject(fault.GNNTrain, fault.Token(ar.Name())); err != nil {
-		return nil, traingen.Stats{}, fmt.Errorf("registry: training for %q: %w", ar.Name(), err)
+		return nil, fmt.Errorf("registry: training for %q: %w", ar.Name(), err)
 	}
 	cfg := r.cfg.TrainGen
 	cfg.Seed = r.cfg.Seed
@@ -489,18 +487,7 @@ func (r *Registry) train(ar arch.Arch) (m *gnn.Model, stats traingen.Stats, err 
 	ds := traingen.Generate(ar, cfg)
 	model := gnn.NewModel(rand.New(rand.NewSource(r.cfg.Seed)), ar.Name())
 	model.Train(ds.Samples, r.cfg.TrainCfg)
-	return model, ds.Stats, nil
-}
-
-// StatsFor reports the dataset-generation stats behind ar's model, training
-// it on first use like ModelFor. Pre-loaded models carry no stats.
-func (r *Registry) StatsFor(ar arch.Arch) (traingen.Stats, error) {
-	if _, err := r.ModelFor(ar); err != nil {
-		return traingen.Stats{}, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ensure(ar.Name()).stats, nil
+	return model, nil
 }
 
 // LabelsFor predicts the four mapper labels for g using ar's model; it is

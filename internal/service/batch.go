@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
-	"sync"
+	"runtime/debug"
 
 	"github.com/lisa-go/lisa/internal/cluster"
 	"github.com/lisa-go/lisa/internal/dfg"
+	"github.com/lisa-go/lisa/internal/parallel"
 )
 
 // BatchRequest is the POST /v1/map/batch body: up to MaxBatchItems
@@ -39,12 +41,16 @@ type BatchResponse struct {
 	Failed int               `json:"failed"`
 }
 
-// handleMapBatch fans a batch of mapping requests out over the dedicated
-// batch pool. Each item goes through the exact /v1/map serving stack —
-// per-item cache lookup, store, cluster routing, singleflight, per-item
-// deadline — so a batch is semantically N single requests minus N-1 round
-// trips. Volatile dispositions (cache/cluster state) are deliberately
-// absent from the body: identical batches answer byte-identically.
+// handleMapBatch fans a batch of mapping requests out from the handler's
+// goroutine, as /v1/labels does (parallel.MapOrdered, Config.Workers wide).
+// Each item goes through the exact /v1/map serving stack — per-item cache
+// lookup, store, cluster routing, singleflight, per-item deadline — so a
+// batch is semantically N single requests minus N-1 round trips. An item
+// waiting on the mapping pool holds a fan-out goroutine, never a mapping
+// worker, and the pool stays the only admission point: a full pool answers
+// that item 429. Volatile dispositions (cache/cluster state) are
+// deliberately absent from the body: identical batches answer
+// byte-identically.
 func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/map/batch"
 	if r.Method != http.MethodPost {
@@ -59,7 +65,7 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.InflightAdd(-1)
 
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)
@@ -74,40 +80,11 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]BatchItemResult, len(req.Items))
 	cancel := r.Context().Done()
 	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
-	var wg sync.WaitGroup
-	for i := range req.Items {
-		// Re-marshal the item: prepare and any proxy hop work from exact
-		// request bytes, and for an item those are its own sub-document.
-		raw, err := json.Marshal(&req.Items[i])
-		if err != nil {
-			results[i] = BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
-			continue
-		}
-		job, err := s.prepare(raw)
-		if err != nil {
-			results[i] = BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
-			if de, ok := dfg.AsDefect(err); ok {
-				results[i].Defect = string(de.Kind)
-			}
-			continue
-		}
-		i := i
-		run := func() {
-			results[i] = s.batchItem(job, cancel, forwarded)
-		}
-		wg.Add(1)
-		if !s.batchPool.TrySubmit(func() { defer wg.Done(); run() }) {
-			// Fan-out pressure is not admission pressure: run the item on
-			// this goroutine instead. Real backpressure still applies where
-			// it belongs — the mapping pool answers 429 per item.
-			run()
-			wg.Done()
-		}
-	}
-	wg.Wait()
+	results := parallel.MapOrdered(s.cfg.Workers, len(req.Items), func(i int) BatchItemResult {
+		return s.batchItem(&req.Items[i], cancel, forwarded)
+	})
 
 	resp := BatchResponse{Items: results}
 	for _, res := range results {
@@ -122,9 +99,31 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchItem executes one prepared batch item and folds its outcome into
-// the per-item result shape.
-func (s *Server) batchItem(job *mapJob, cancel <-chan struct{}, forwarded bool) BatchItemResult {
+// batchItem answers one batch item as /v1/map answers the same request and
+// folds the outcome into the per-item result shape. Its panic fence answers
+// the item 500 with the text /v1/map's fence writes and counts the panic;
+// the other items are unaffected.
+func (s *Server) batchItem(item *MapRequest, cancel <-chan struct{}, forwarded bool) (res BatchItemResult) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.panicked(rec, debug.Stack())
+			res = BatchItemResult{Status: http.StatusInternalServerError, Error: fmt.Sprintf("internal error: %v", rec)}
+		}
+	}()
+	// Re-marshal the item: prepare and any proxy hop work from exact
+	// request bytes, and for an item those are its own sub-document.
+	raw, err := json.Marshal(item)
+	if err != nil {
+		return BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
+	}
+	job, err := s.prepare(raw)
+	if err != nil {
+		res = BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
+		if de, ok := dfg.AsDefect(err); ok {
+			res.Defect = string(de.Kind)
+		}
+		return res
+	}
 	out := s.execute(job, cancel, forwarded)
 	switch {
 	case errors.Is(out.err, errCanceled):

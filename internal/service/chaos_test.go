@@ -13,8 +13,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/lisa-go/lisa/internal/fault"
 	"github.com/lisa-go/lisa/internal/registry"
@@ -72,7 +74,7 @@ func TestChaosGNNTrainFault(t *testing.T) {
 	if resp.EngineUsed != "sa" || len(resp.Result.Degraded) != 1 {
 		t.Fatalf("want one lisa-to-sa rung, got engineUsed=%q degraded=%v", resp.EngineUsed, resp.Result.Degraded)
 	}
-	if s.Cache().Len() != 0 {
+	if s.cache.Len() != 0 {
 		t.Fatal("degraded response entered the cache")
 	}
 	// Deterministic: the same request is answered byte-identically, and the
@@ -108,7 +110,7 @@ func TestChaosMapperAnnealFault(t *testing.T) {
 			if !resp.Result.OK {
 				t.Fatal("greedy rung failed a kernel it can map")
 			}
-			if s.Cache().Len() != 0 {
+			if s.cache.Len() != 0 {
 				t.Fatal("degraded response entered the cache")
 			}
 			second := postMap(t, h, body)
@@ -138,7 +140,7 @@ func TestChaosRouterFault(t *testing.T) {
 	if resp.Result.OK {
 		t.Fatal("mapping claims OK with every route injected to fail")
 	}
-	if s.Cache().Len() != 0 {
+	if s.cache.Len() != 0 {
 		t.Fatal("failed mapping entered the cache")
 	}
 	alive(t, h)
@@ -182,6 +184,37 @@ func TestChaosPoolSubmitFault(t *testing.T) {
 	w := postMap(t, h, `{"kernel":"atax","arch":"cgra-4x4","engine":"sa","seed":3}`)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", w.Code, w.Body)
+	}
+	alive(t, h)
+}
+
+// TestChaosBatchItemPanic: a panic inside one batch item answers that item
+// 500 with the text /v1/map's panic fence writes, counts one panic, and
+// leaves the batch itself a 200.
+func TestChaosBatchItemPanic(t *testing.T) {
+	armFaults(t, "cache.get=panic:1", 1)
+	s := testServer(t, Config{})
+	h := s.Handler()
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map/batch", strings.NewReader(
+		`{"items":[{"kernel":"atax","arch":"cgra-4x4","engine":"sa","seed":3}]}`)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: %d: %s", w.Code, w.Body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Items) != 1 || resp.Failed != 1 {
+		t.Fatalf("want one failed item, got %s", w.Body)
+	}
+	it := resp.Items[0]
+	if it.Status != http.StatusInternalServerError || !strings.Contains(it.Error, "internal error: ") || !strings.Contains(it.Error, "cache.get") {
+		t.Fatalf("item %+v, want a 500 naming cache.get", it)
+	}
+	if got := s.metrics.Snapshot(time.Now(), 0, 0).Panics; got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
 	}
 	alive(t, h)
 }
@@ -270,7 +303,7 @@ func TestChaosConcurrentProbabilisticFaults(t *testing.T) {
 	if degraded == 0 || degraded == n {
 		t.Fatalf("p=0.5 plan degraded %d/%d requests; the fault stream is not firing probabilistically", degraded, n)
 	}
-	if got := s.Cache().Len(); got != n-degraded {
+	if got := s.cache.Len(); got != n-degraded {
 		t.Fatalf("cache holds %d entries, want the %d clean results only", got, n-degraded)
 	}
 

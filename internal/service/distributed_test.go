@@ -25,7 +25,7 @@ import (
 // engineRuns sums mapper invocations across every engine of one node.
 func engineRuns(t *testing.T, s *Server) int64 {
 	t.Helper()
-	snap := s.Metrics().Snapshot(time.Now(), 0, 0)
+	snap := s.metrics.Snapshot(time.Now(), 0, 0)
 	var total int64
 	for _, e := range snap.Engines {
 		total += e.Count
@@ -151,7 +151,7 @@ func TestChaosStoreReadFault(t *testing.T) {
 	if runs := engineRuns(t, s2); runs != 1 {
 		t.Fatalf("mapper ran %d times under a read fault, want 1 (forced miss)", runs)
 	}
-	snap := s2.Metrics().storeSnapshot()
+	snap := s2.metrics.storeSnapshot()
 	if snap.ReadErrors == 0 {
 		t.Fatal("store read errors not counted")
 	}
@@ -171,7 +171,7 @@ func TestChaosStoreWriteFault(t *testing.T) {
 	if under.Code != http.StatusOK {
 		t.Fatalf("request under store.write fault: %d: %s", under.Code, under.Body)
 	}
-	if snap := s.Metrics().storeSnapshot(); snap.WriteErrors != 1 {
+	if snap := s.metrics.storeSnapshot(); snap.WriteErrors != 1 {
 		t.Fatalf("write errors = %d, want 1", snap.WriteErrors)
 	}
 	// L1 still has the body: the write failure is invisible to clients.
@@ -243,7 +243,7 @@ func TestBatchMixedOutcomes(t *testing.T) {
 		t.Fatal("repeated batch body differs")
 	}
 
-	snap := s.Metrics().Snapshot(time.Now(), 0, 0)
+	snap := s.metrics.Snapshot(time.Now(), 0, 0)
 	if snap.Batch == nil || snap.Batch.Requests != 2 || snap.Batch.Items != 8 || snap.Batch.FailedItems != 4 {
 		t.Fatalf("batch counters %+v, want requests=2 items=8 failed=4", snap.Batch)
 	}
@@ -458,7 +458,7 @@ func TestClusterFallbackWhenOwnerUnreachable(t *testing.T) {
 	if !bytes.Equal(b, ref.Body.Bytes()) {
 		t.Fatalf("%s: fallback body differs from a single-node daemon", body)
 	}
-	if _, fallbacks := s.Metrics().clusterCounters(); fallbacks == 0 {
+	if _, fallbacks := s.metrics.clusterCounters(); fallbacks == 0 {
 		t.Fatal("fallbacks not counted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/lisa-go/lisa/internal/engine"
 	"github.com/lisa-go/lisa/internal/mapper"
+	"github.com/lisa-go/lisa/internal/store"
 )
 
 // keyStackBytes sizes cacheKey's stack buffer: the header plus the canonical
@@ -27,9 +28,11 @@ const keyStackBytes = 4608
 // "MaxMoves: 0" and the explicit default share an entry) with the seed, and
 // whether the body carries the utilization report.
 //
-// The header's first line names the body format: it moves to a new version
-// whenever equal requests start getting different body bytes (v2 dropped
-// the portfolio's hopLowerBound), so no stored body outlives its format.
+// The header's first line is store.Format, which names the body format: it
+// moves to a new version whenever equal requests start getting different
+// body bytes (v2 dropped the portfolio's hopLowerBound), and the store drops
+// entries of any other format when it opens, so no stored body outlives its
+// format.
 //
 // The header is built with strconv appends into a stack buffer and hashed
 // with one sha256.Sum256 call. Its bytes are exactly those the original
@@ -42,7 +45,7 @@ const keyStackBytes = 4608
 func cacheKey(canon []byte, kernel, archName string, eng engine.Name, opts mapper.Options, deadlineMS int64, stats bool) string {
 	var stack [keyStackBytes]byte
 	b := stack[:0]
-	b = append(b, "lisa-serve/v2\narch="...)
+	b = append(b, store.Format+"\narch="...)
 	b = append(b, archName...)
 	b = append(b, "\nengine="...)
 	b = append(b, eng...)

@@ -113,7 +113,7 @@ func TestMapExpiredDeadlineIsLabeledAndUncached(t *testing.T) {
 	if len(resp.Result.Degraded) > 0 && resp.EngineUsed != "greedy" {
 		t.Fatalf("degraded chain %v but engineUsed = %q, want greedy", resp.Result.Degraded, resp.EngineUsed)
 	}
-	if got := s.Cache().Len(); got != 0 {
+	if got := s.cache.Len(); got != 0 {
 		t.Fatalf("cache has %d entries after a deadline-curtailed response, want 0", got)
 	}
 	if w2 := postMap(t, h, body); w2.Header().Get("X-Lisa-Cache") == "hit" {
@@ -297,7 +297,7 @@ func TestHandlerPanicIsA500NotACrash(t *testing.T) {
 	if recovered != "boom" {
 		t.Fatalf("OnPanic saw %v, want boom", recovered)
 	}
-	snap := s.Metrics().Snapshot(s.metrics.start, 0, 0)
+	snap := s.metrics.Snapshot(s.metrics.start, 0, 0)
 	if snap.Panics != 1 {
 		t.Fatalf("panics counter = %d, want 1", snap.Panics)
 	}

@@ -22,7 +22,7 @@
 //     degrades to local compute — so a fleet computes each distinct
 //     mapping once but never refuses work because a peer died;
 //   - a batch endpoint (batch.go): many DFG×arch items per request,
-//     fanned out over a dedicated pool with per-item outcomes;
+//     fanned out like /v1/labels, with per-item outcomes;
 //   - request metrics (metrics.go) served as JSON on /metrics.
 //
 // Because mapping results are pure functions of (DFG, arch, engine,
@@ -81,6 +81,10 @@ var (
 	errBusy     = errors.New("service: mapping queue full")
 )
 
+// maxBodyBytes bounds every request body (DFG uploads, label and map
+// batches).
+const maxBodyBytes = 4 << 20
+
 // Config tunes the server. Zero values fall back to DefaultConfig.
 type Config struct {
 	// Workers bounds concurrent mapper invocations (<= 0: one per CPU).
@@ -109,8 +113,6 @@ type Config struct {
 	// what a request may ask for. Deadlines feed mapper.Options.TimeLimit.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// MaxBodyBytes bounds the request body (DFG uploads).
-	MaxBodyBytes int64
 	// MaxDFGNodes / MaxDFGEdges cap inline DFG uploads, including after
 	// unrolling (0: the default caps; negative: uncapped). Built-in kernels
 	// are trusted and exempt.
@@ -146,7 +148,6 @@ func DefaultConfig() Config {
 		MaxBatchItems:   64,
 		DefaultDeadline: 30 * time.Second,
 		MaxDeadline:     2 * time.Minute,
-		MaxBodyBytes:    4 << 20,
 		MaxDFGNodes:     512,
 		MaxDFGEdges:     2048,
 		MaxUnroll:       8,
@@ -179,9 +180,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = d.MaxDeadline
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = d.MaxBodyBytes
 	}
 	if c.MaxDFGNodes == 0 {
 		c.MaxDFGNodes = d.MaxDFGNodes
@@ -222,12 +220,6 @@ type Server struct {
 	pool    *parallel.Pool
 	metrics *Metrics
 
-	// batchPool fans /v1/map/batch items out. It must be distinct from
-	// pool: batch items submit mapping tasks into pool, and fanning out on
-	// the same pool would let a burst of batches occupy every worker with
-	// items that are themselves waiting for a worker — a deadlock.
-	batchPool *parallel.Pool
-
 	mu       sync.Mutex
 	draining bool
 }
@@ -237,19 +229,17 @@ type Server struct {
 func New(cfg Config, reg *registry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		reg:       reg,
-		cache:     NewCache(cfg.CacheEntries, cfg.CacheBytes),
-		flight:    newFlightGroup(),
-		pool:      parallel.NewPool(cfg.Workers, cfg.QueueDepth),
-		batchPool: parallel.NewPool(cfg.Workers, cfg.QueueDepth),
-		metrics:   NewMetrics(time.Now()),
+		cfg:     cfg,
+		reg:     reg,
+		cache:   NewCache(cfg.CacheEntries, cfg.CacheBytes),
+		flight:  newFlightGroup(),
+		pool:    parallel.NewPool(cfg.Workers, cfg.QueueDepth),
+		metrics: NewMetrics(time.Now()),
 	}
 	// Last-resort fence: a task that panics past its own recovery must not
 	// kill the worker. (Mapping tasks also recover for themselves so their
 	// singleflight leader is never left waiting.)
 	s.pool.OnPanic(s.panicked)
-	s.batchPool.OnPanic(s.panicked)
 	if cfg.Cluster != nil {
 		// Warm model shipping: before the registry spends a local training
 		// run on a model-less arch, ask the ring for one (model.go).
@@ -267,12 +257,6 @@ func (s *Server) panicked(recovered any, stack []byte) {
 	}
 }
 
-// Metrics exposes the server's counters (the /metrics handler and tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Cache exposes the result cache (tests).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Close stops admitting new mapping jobs and waits for accepted ones to
 // finish — the graceful-drain half of SIGTERM handling (the HTTP listener
 // itself is drained by http.Server.Shutdown).
@@ -280,7 +264,6 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.batchPool.Close()
 	s.pool.Close()
 }
 
@@ -624,7 +607,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InflightAdd(1)
 	defer s.metrics.InflightAdd(-1)
 
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -899,7 +882,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LabelsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)

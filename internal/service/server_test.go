@@ -87,7 +87,7 @@ func TestMapMissThenHitByteIdentical(t *testing.T) {
 			resp.Result.II, resp.Result.Moves, direct.II, direct.Moves)
 	}
 
-	snap := s.Metrics().Snapshot(time.Now(), s.Cache().Len(), s.Cache().Bytes())
+	snap := s.metrics.Snapshot(time.Now(), s.cache.Len(), s.cache.Bytes())
 	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 {
 		t.Fatalf("cache counters hits=%d misses=%d, want 1/1", snap.Cache.Hits, snap.Cache.Misses)
 	}
@@ -124,7 +124,7 @@ func TestConcurrentIdenticalRequestsSingleMapperRun(t *testing.T) {
 			t.Fatalf("request %d body differs", i)
 		}
 	}
-	snap := s.Metrics().Snapshot(time.Now(), s.Cache().Len(), s.Cache().Bytes())
+	snap := s.metrics.Snapshot(time.Now(), s.cache.Len(), s.cache.Bytes())
 	sa := snap.Engines["sa"]
 	if sa.Count != 1 {
 		t.Fatalf("mapper ran %d times for %d identical requests, want exactly 1", sa.Count, n)
@@ -237,7 +237,7 @@ func TestMapWithoutModelDegradesToSA(t *testing.T) {
 		t.Fatalf("degraded chain = %v, want a lisa-to-sa rung", resp.Result.Degraded)
 	}
 	// Degraded results must not poison the cache.
-	if got := s.Cache().Len(); got != 0 {
+	if got := s.cache.Len(); got != 0 {
 		t.Fatalf("cache has %d entries after a degraded response, want 0", got)
 	}
 	w2 := postMap(t, s.Handler(), `{"kernel":"gemm","arch":"cgra-4x4","engine":"lisa"}`)
@@ -289,11 +289,31 @@ func TestAdmissionControl429(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 with a saturated pool", w.Code)
 	}
+	// A batch is admitted item by item at the same pool: the batch answers
+	// 200 and each item 429.
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map/batch", strings.NewReader(
+		`{"items":[{"kernel":"gemm","arch":"cgra-4x4","engine":"sa"},{"kernel":"atax","arch":"cgra-4x4","engine":"sa"}]}`)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch status %d, want 200: %s", w.Code, w.Body)
+	}
+	var batch BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Items) != 2 {
+		t.Fatalf("batch: %s", w.Body)
+	}
+	for i, it := range batch.Items {
+		if it.Status != http.StatusTooManyRequests {
+			t.Fatalf("batch item %d: %+v, want 429 with a saturated pool", i, it)
+		}
+	}
 	close(block)
 
-	snap := s.Metrics().Snapshot(time.Now(), 0, 0)
-	if snap.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", snap.Rejected)
+	snap := s.metrics.Snapshot(time.Now(), 0, 0)
+	if snap.Rejected != 3 {
+		t.Fatalf("rejected = %d, want 3 (one request, two batch items)", snap.Rejected)
 	}
 	// After the blocker drains, the same request succeeds.
 	deadlineOK := func() bool {

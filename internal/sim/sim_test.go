@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,58 +202,5 @@ func TestRunRejectsBadInput(t *testing.T) {
 	ok := mapOK(t, ar, g, 1)
 	if _, err := Run(ar, g, &ok, 0); err == nil {
 		t.Fatal("zero iterations must be rejected")
-	}
-}
-
-func TestTraceCSVExports(t *testing.T) {
-	ar := arch.NewBaseline4x4()
-	g := kernels.MustByName("gemm")
-	res := mapOK(t, ar, g, 7)
-	tr, err := Run(ar, g, &res, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteStoresCSV(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != len(tr.Stores)+1 {
-		t.Fatalf("CSV lines = %d, want %d", lines, len(tr.Stores)+1)
-	}
-	if !strings.HasPrefix(buf.String(), "cycle,iteration,node,addr,value") {
-		t.Fatal("CSV header missing")
-	}
-}
-
-func TestActivityTable(t *testing.T) {
-	ar := arch.NewBaseline4x4()
-	g := kernels.MustByName("syrk")
-	res := mapOK(t, ar, g, 8)
-	rows, err := Activity(ar, g, &res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compute := 0
-	for _, r := range rows {
-		if r.Cycle < 0 || r.Cycle >= res.II {
-			t.Fatalf("activity cycle %d out of II window", r.Cycle)
-		}
-		if r.Kind == "compute" {
-			compute++
-		}
-	}
-	if compute != g.NumNodes() {
-		t.Fatalf("compute rows = %d, want %d", compute, g.NumNodes())
-	}
-	var buf bytes.Buffer
-	if err := WriteActivityCSV(&buf, ar, g, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "compute") {
-		t.Fatal("activity CSV missing compute rows")
-	}
-	if _, err := Activity(ar, g, &mapper.Result{}); err == nil {
-		t.Fatal("failed result must be rejected")
 	}
 }

@@ -61,10 +61,18 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("store: entry %s corrupt (%s); dropped", e.Key, e.Reason)
 }
 
+// Format heads every entry file and is the first line service.cacheKey
+// hashes: it names the body format, so it moves whenever equal requests
+// start getting different body bytes. Open drops an entry headed by any
+// other format and counts it in Dropped, so a format move retires every
+// body of the old format, which no key can reach, at the next start.
+const Format = "lisa-serve/v2"
+
 const (
-	// format tags both the entry header and the index so a directory
-	// written by an incompatible future layout is rejected, not misread.
-	format = "lisa-store/v1"
+	// indexFormat tags the index, so a directory written by an incompatible
+	// future index layout restarts the generation count instead of
+	// misreading it.
+	indexFormat = "lisa-store/v1"
 
 	entrySuffix = ".entry"
 	tmpPrefix   = "tmp-"
@@ -144,7 +152,7 @@ func (s *Store) readIndex() index {
 	if err != nil {
 		return index{}
 	}
-	if json.Unmarshal(raw, &idx) != nil || idx.Format != format {
+	if json.Unmarshal(raw, &idx) != nil || idx.Format != indexFormat {
 		return index{}
 	}
 	return idx
@@ -153,7 +161,7 @@ func (s *Store) readIndex() index {
 // writeIndex stamps the current census atomically. s.mu must not be held.
 func (s *Store) writeIndex() error {
 	s.mu.Lock()
-	idx := index{Format: format, Generation: s.gen, Entries: s.entries, Dropped: s.dropped}
+	idx := index{Format: indexFormat, Generation: s.gen, Entries: s.entries, Dropped: s.dropped}
 	s.mu.Unlock()
 	raw, err := json.Marshal(idx)
 	if err != nil {
@@ -248,7 +256,7 @@ func decodeEntry(raw []byte) (body []byte, reason string) {
 		return nil, "no header"
 	}
 	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 3 || fields[0] != format {
+	if len(fields) != 3 || fields[0] != Format {
 		return nil, "bad header"
 	}
 	wantSum := fields[1]
@@ -286,7 +294,7 @@ func (s *Store) drop(key string) {
 // encodeEntry renders the on-disk form of body.
 func encodeEntry(body []byte) []byte {
 	sum := sha256.Sum256(body)
-	header := fmt.Sprintf("%s %s %d\n", format, hex.EncodeToString(sum[:]), len(body))
+	header := fmt.Sprintf("%s %s %d\n", Format, hex.EncodeToString(sum[:]), len(body))
 	out := make([]byte, 0, len(header)+len(body))
 	out = append(out, header...)
 	return append(out, body...)

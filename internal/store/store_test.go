@@ -244,6 +244,28 @@ func TestOpenSweepsTmpOrphansAndForeignJunk(t *testing.T) {
 	}
 }
 
+// TestOpenDropsEntriesOfARetiredFormat: an entry written under an earlier
+// body format (here lisa-store/v1, the header before Format) is intact —
+// its checksum and length verify — but no request can produce its key any
+// more, so Open deletes it and counts it as dropped.
+func TestOpenDropsEntriesOfARetiredFormat(t *testing.T) {
+	dir := t.TempDir()
+	body := []byte(`{"ii":2}` + "\n")
+	sum := sha256.Sum256(body)
+	old := key("old")
+	raw := fmt.Sprintf("lisa-store/v1 %s %d\n%s", hex.EncodeToString(sum[:]), len(body), body)
+	if err := os.WriteFile(filepath.Join(dir, old+entrySuffix), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	if s.Len() != 0 || s.Dropped() != 1 {
+		t.Fatalf("Len = %d, Dropped = %d; want 0 and 1", s.Len(), s.Dropped())
+	}
+	if _, err := os.Stat(filepath.Join(dir, old+entrySuffix)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("retired-format entry survived Open")
+	}
+}
+
 func TestIndexCorruptionOnlyResetsGeneration(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -383,7 +405,7 @@ func TestConcurrentSameKeyPutsCoalesce(t *testing.T) {
 func TestDecodeEntryRejectsTrailingJunkLength(t *testing.T) {
 	body := []byte("twelve bytes")
 	sum := sha256.Sum256(body)
-	raw := fmt.Sprintf("%s %s 12abc\n%s", format, hex.EncodeToString(sum[:]), body)
+	raw := fmt.Sprintf("%s %s 12abc\n%s", Format, hex.EncodeToString(sum[:]), body)
 	if _, reason := decodeEntry([]byte(raw)); reason != "bad length field" {
 		t.Fatalf("decodeEntry reason = %q, want %q", reason, "bad length field")
 	}

@@ -3,7 +3,6 @@ package visual
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/lisa-go/lisa/internal/arch"
 	"github.com/lisa-go/lisa/internal/dfg"
@@ -199,15 +198,4 @@ func WriteBarChart(w io.Writer, title, yLabel string, categories []string, serie
 	}
 	c.text(width/2, height-6, 12, "middle", title)
 	return c.flush(w)
-}
-
-// SortedCategories returns map keys in deterministic order (helper for
-// chart callers).
-func SortedCategories(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

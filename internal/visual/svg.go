@@ -40,10 +40,6 @@ func (c *canvas) text(x, y int, size int, anchor, s string) {
 		x, y, size, anchor, escape(s))
 }
 
-func (c *canvas) circle(x, y, r int, fill string) {
-	fmt.Fprintf(&c.b, `<circle cx="%d" cy="%d" r="%d" fill="%s" stroke="black"/>`+"\n", x, y, r, fill)
-}
-
 func (c *canvas) flush(w io.Writer) error {
 	c.b.WriteString("</svg>\n")
 	_, err := io.WriteString(w, c.b.String())

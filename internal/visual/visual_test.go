@@ -100,10 +100,3 @@ func TestEscape(t *testing.T) {
 		t.Fatalf("escape wrong: %q", escape(`a<b>&"c"`))
 	}
 }
-
-func TestSortedCategories(t *testing.T) {
-	got := SortedCategories(map[string]float64{"b": 1, "a": 2, "c": 3})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("got %v", got)
-	}
-}
