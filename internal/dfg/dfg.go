@@ -10,10 +10,7 @@
 // modelled, so RecMII = 1 throughout).
 package dfg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // OpKind identifies the operation a DFG node performs. The set matches what
 // the modelled accelerators support: memory ops, integer/float ALU ops and
@@ -231,6 +228,12 @@ func (g *Graph) Validate() error {
 		}
 		seen[n.Name] = i
 	}
+	return g.validateEdges()
+}
+
+// validateEdges is Validate past its node pass: edge IDs and endpoints,
+// self loops, cycles and weak connectivity.
+func (g *Graph) validateEdges() error {
 	for i, e := range g.Edges {
 		if e.ID != i {
 			return &DefectError{Kind: DefectBadID,
@@ -263,7 +266,8 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	for v := range g.Nodes {
 		indeg[v] = len(g.pred[v])
 	}
-	// Min-ID ready list keeps the order deterministic across runs.
+	// A min-heap of ready IDs keeps the order deterministic across runs.
+	// Appended in ascending order, the initial list is already a heap.
 	ready := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
@@ -272,14 +276,13 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	}
 	order := make([]int, 0, n)
 	for len(ready) > 0 {
-		sort.Ints(ready)
-		v := ready[0]
-		ready = ready[1:]
+		var v int
+		v, ready = popMin(ready)
 		order = append(order, v)
 		for _, w := range g.succ[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				ready = append(ready, w)
+				ready = pushHeap(ready, w)
 			}
 		}
 	}
@@ -287,6 +290,44 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		return nil, &DefectError{Kind: DefectCycle, Msg: fmt.Sprintf("dfg %s: cycle detected", g.Name)}
 	}
 	return order, nil
+}
+
+// pushHeap adds v to the binary min-heap h.
+func pushHeap(h []int, v int) []int {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+// popMin removes and returns the smallest entry of the non-empty binary
+// min-heap h.
+func popMin(h []int) (int, []int) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
 }
 
 // WeaklyConnected reports whether the undirected version of g is connected.

@@ -1,9 +1,55 @@
 package dfg
 
-// Test oracles for Hops: the per-pair allocating breadth-first searches the
-// Attributes Generator and the label initialization ran before the BFS
-// table. They stay here, exported to the external tests of this directory,
-// as the ground truth TestHopsMatchesOracle compares the table against.
+import (
+	"fmt"
+	"sort"
+)
+
+// Test oracles, exported to the external tests of this directory: the
+// per-pair allocating breadth-first searches the Attributes Generator and
+// the label initialization ran before the BFS table (the ground truth
+// TestHopsMatchesOracle compares the table against), and the sorted
+// ready-list loop TopoOrder ran before its heap (TestTopoOrderMatchesOracle).
+// StrictAccepts lets those tests see which path ReadJSON takes.
+
+// TopoOrderSorted is Kahn's algorithm re-sorting the ready list before
+// every pop: TopoOrder's smallest-ready-ID order and error, the slow way.
+func (g *Graph) TopoOrderSorted() ([]int, error) {
+	n := len(g.Nodes)
+	indeg := make([]int, n)
+	for v := range g.Nodes {
+		indeg[v] = len(g.pred[v])
+	}
+	ready := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			ready = append(ready, v)
+		}
+	}
+	order := make([]int, 0, n)
+	for len(ready) > 0 {
+		sort.Ints(ready)
+		v := ready[0]
+		ready = ready[1:]
+		order = append(order, v)
+		for _, w := range g.succ[v] {
+			indeg[w]--
+			if indeg[w] == 0 {
+				ready = append(ready, w)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, &DefectError{Kind: DefectCycle, Msg: fmt.Sprintf("dfg %s: cycle detected", g.Name)}
+	}
+	return order, nil
+}
+
+// StrictAccepts reports whether ReadJSON's strict pass takes doc.
+func StrictAccepts(doc string) bool {
+	_, ok := decodeStrict(doc)
+	return ok
+}
 
 // ClosestCommonAncestor returns the common ancestor of u and v with the
 // largest ASAP value (closest to the pair) and the larger of the two hop

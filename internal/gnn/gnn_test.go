@@ -3,6 +3,7 @@ package gnn
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -256,5 +257,28 @@ func TestValidationLossFiniteAndPositive(t *testing.T) {
 	v := m.validationLoss([]Sample{s})
 	if v <= 0 || v != v {
 		t.Fatalf("validation loss = %v", v)
+	}
+}
+
+// TestCheckFinite: CheckFinite passes a fresh model and names the first
+// non-finite weight or scale of a poisoned one.
+func TestCheckFinite(t *testing.T) {
+	if err := NewModel(rand.New(rand.NewSource(1)), "x").CheckFinite(); err != nil {
+		t.Fatalf("fresh model: %v", err)
+	}
+	for _, c := range []struct {
+		poison func(m *Model)
+		want   string
+	}{
+		{func(m *Model) { m.Temporal.W2.Data[0] = math.NaN() }, `gnn: model "x" temporal.W2[0] = NaN is not finite`},
+		{func(m *Model) { m.Order.W1[2].Data[3] = math.Inf(1); m.Same.W1.Data[1] = math.NaN() }, `gnn: model "x" order.W1.2[3] = +Inf is not finite`},
+		{func(m *Model) { m.DummyScale = []float64{1, math.Inf(-1)} }, `gnn: model "x" dummyScale[1] = -Inf is not finite`},
+		{func(m *Model) { m.ASAPScale = math.NaN() }, `gnn: model "x" asapScale[0] = NaN is not finite`},
+	} {
+		m := NewModel(rand.New(rand.NewSource(1)), "x")
+		c.poison(m)
+		if err := m.CheckFinite(); err == nil || err.Error() != c.want {
+			t.Errorf("CheckFinite = %v, want %s", err, c.want)
+		}
 	}
 }

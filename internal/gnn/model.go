@@ -19,7 +19,9 @@ package gnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 
 	"github.com/lisa-go/lisa/internal/attr"
 	"github.com/lisa-go/lisa/internal/tensor"
@@ -200,6 +202,45 @@ func (m *Model) checkScale(name string, got, want int) error {
 	if got != 0 && got != want {
 		return fmt.Errorf("gnn: model %q %s scale has %d columns, want %d (attribute-set version skew; retrain the model)",
 			m.ArchName, name, got, want)
+	}
+	return nil
+}
+
+// CheckFinite reports the first weight or scale that is NaN or ±Inf, in
+// sorted weight-name order, then the scale vectors. A model that fails it
+// predicts non-finite labels, so the registry never serves one.
+// Load needs no such check: JSON cannot carry a non-finite number.
+func (m *Model) CheckFinite() error {
+	w := m.namedWeights()
+	names := make([]string, 0, len(w))
+	for name := range w {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := checkFinite(m.ArchName, name, w[name].Data); err != nil {
+			return err
+		}
+	}
+	for _, sv := range []struct {
+		name string
+		vals []float64
+	}{
+		{"nodeScale", m.NodeScale}, {"edgeScale", m.EdgeScale}, {"dummyScale", m.DummyScale},
+		{"asapScale", []float64{m.ASAPScale}},
+	} {
+		if err := checkFinite(m.ArchName, sv.name, sv.vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkFinite(archName, name string, vals []float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("gnn: model %q %s[%d] = %v is not finite", archName, name, i, v)
+		}
 	}
 	return nil
 }

@@ -154,8 +154,13 @@ func (r *Registry) ensure(name string) *entry {
 
 // Put registers a pre-trained model under its architecture name. It wins
 // over idle and failed slots (healing a cached training failure) and loses
-// to a ready model or an in-flight training run, returning false.
+// to a ready model or an in-flight training run, returning false. A model
+// with a non-finite weight or scale is refused (false) and leaves the slot
+// as it was.
 func (r *Registry) Put(m *gnn.Model) bool {
+	if m.CheckFinite() != nil {
+		return false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.ensure(m.ArchName)
@@ -487,6 +492,9 @@ func (r *Registry) train(ar arch.Arch) (m *gnn.Model, err error) {
 	ds := traingen.Generate(ar, cfg)
 	model := gnn.NewModel(rand.New(rand.NewSource(r.cfg.Seed)), ar.Name())
 	model.Train(ds.Samples, r.cfg.TrainCfg)
+	if err := model.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("registry: training for %q: %w", ar.Name(), err)
+	}
 	return model, nil
 }
 

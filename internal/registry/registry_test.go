@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -303,5 +304,58 @@ func TestLabelsForPredictsAndPropagatesErrors(t *testing.T) {
 	r2 := New(cfg)
 	if _, err := r2.LabelsFor(ar, g); err == nil {
 		t.Fatal("LabelsFor succeeded without a model and with training disabled")
+	}
+}
+
+// TestPutRefusesNonFiniteModel: Put turns away a model with a NaN or ±Inf
+// weight or scale and leaves the slot as it was, so a later finite model
+// still wins it.
+func TestPutRefusesNonFiniteModel(t *testing.T) {
+	r := New(Config{TrainOnDemand: false})
+	name := arch.NewBaseline4x4().Name()
+	for _, poison := range []func(m *gnn.Model){
+		func(m *gnn.Model) { m.Temporal.W2.Data[0] = math.NaN() },
+		func(m *gnn.Model) { m.Order.W1[3].Data[5] = math.Inf(-1) },
+		func(m *gnn.Model) { m.EdgeScale = []float64{1, math.Inf(1)} },
+		func(m *gnn.Model) { m.ASAPScale = math.NaN() },
+	} {
+		m := gnn.NewModel(rand.New(rand.NewSource(1)), name)
+		poison(m)
+		if m.CheckFinite() == nil {
+			t.Fatal("CheckFinite passed a non-finite model")
+		}
+		if r.Put(m) {
+			t.Fatal("Put accepted a non-finite model")
+		}
+		if r.Has(name) || r.Err(name) != nil {
+			t.Fatalf("a refused Put changed the slot: Has %v, Err %v", r.Has(name), r.Err(name))
+		}
+	}
+	if !r.Put(gnn.NewModel(rand.New(rand.NewSource(1)), name)) {
+		t.Fatal("Put refused a finite model after refusing poisoned ones")
+	}
+}
+
+// TestDivergedTrainingIsCachedError: an on-demand training run that leaves
+// a non-finite weight behind (an infinite learning rate diverges on the
+// first step) fails the slot with the finiteness error, cached like any
+// training failure.
+func TestDivergedTrainingIsCachedError(t *testing.T) {
+	cfg := quickCfg()
+	cfg.TrainCfg.LR = math.Inf(1)
+	r := New(cfg)
+	ar := arch.NewBaseline4x4()
+	_, err1 := r.ModelFor(ar)
+	if err1 == nil || !strings.Contains(err1.Error(), "is not finite") {
+		t.Fatalf("ModelFor after a diverged training run: %v, want the finiteness error", err1)
+	}
+	if _, err2 := r.ModelFor(ar); err2 == nil || err2.Error() != err1.Error() {
+		t.Fatalf("second ModelFor: %v, want the cached %v", err2, err1)
+	}
+	if runs := r.Counters().TrainRuns; runs != 1 {
+		t.Fatalf("%d training runs, want 1", runs)
+	}
+	if got := r.Err(ar.Name()); got == nil || got.Error() != err1.Error() {
+		t.Fatalf("Err = %v, want the cached finiteness error", got)
 	}
 }

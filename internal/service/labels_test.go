@@ -481,22 +481,30 @@ func TestLabelsBodySpliceMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestLabelsEncodeFailureCounts500: a model that predicts a NaN label (one
-// NaN weight, as a diverged training run could leave behind) answers the
-// 500 "encoding response: …" text/plain body, and /metrics counts that 500,
-// not a 200.
+// TestLabelsEncodeFailureCounts500: a model that predicts a non-finite
+// label answers the 500 "encoding response: …" text/plain body, and
+// /metrics counts that 500, not a 200. The registry refuses a model with a
+// non-finite weight (TestNonFiniteModelNeverServed), so the model here is
+// finite and overflows: huge temporal weights carry every edge's label to
+// +Inf.
 func TestLabelsEncodeFailureCounts500(t *testing.T) {
 	m := gnn.NewModel(rand.New(rand.NewSource(1)), "cgra-4x4")
-	m.Temporal.W2.Data[0] = math.NaN()
+	for _, w := range [][]float64{m.Temporal.W1.Data, m.Temporal.W2.Data} {
+		for i := range w {
+			w[i] = math.MaxFloat64
+		}
+	}
 	reg := registry.New(registry.Config{TrainOnDemand: false})
-	reg.Put(m)
+	if !reg.Put(m) {
+		t.Fatal("Put refused a finite model")
+	}
 	s := New(Config{}, reg)
 	defer s.Close()
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(procs, func() {
 			w := postLabels(t, s.Handler(), `{"arch":"cgra-4x4","kernels":["gemm","atax","mvt"]}`)
 			if w.Code != http.StatusInternalServerError ||
-				w.Body.String() != "encoding response: json: unsupported value: NaN\n" ||
+				w.Body.String() != "encoding response: json: unsupported value: +Inf\n" ||
 				w.Header().Get("Content-Type") != "text/plain; charset=utf-8" {
 				t.Fatalf("GOMAXPROCS=%d: status %d, Content-Type %q, body %q", procs, w.Code, w.Header().Get("Content-Type"), w.Body)
 			}
@@ -511,5 +519,37 @@ func TestLabelsEncodeFailureCounts500(t *testing.T) {
 	// The one 200 is the /metrics request itself.
 	if snap.Requests["/v1/labels"] != 2 || snap.Status["500"] != 2 || snap.Status["200"] != 1 {
 		t.Fatalf("/metrics counts requests %v, statuses %v; want two /v1/labels 500s and one 200", snap.Requests, snap.Status)
+	}
+}
+
+// TestNonFiniteModelNeverServed: a model with one NaN weight, as a diverged
+// training run could leave behind, never reaches the registry. Put refuses
+// it; with on-demand training off, /v1/labels then answers 503, and /v1/map
+// with engine lisa degrades to sa and marks the body uncacheable, instead
+// of annealing on NaN labels.
+func TestNonFiniteModelNeverServed(t *testing.T) {
+	m := gnn.NewModel(rand.New(rand.NewSource(1)), "cgra-4x4")
+	m.Temporal.W2.Data[0] = math.NaN()
+	reg := registry.New(registry.Config{TrainOnDemand: false})
+	if reg.Put(m) {
+		t.Fatal("Put accepted a model with a NaN weight")
+	}
+	s := New(Config{}, reg)
+	defer s.Close()
+	if w := postLabels(t, s.Handler(), `{"arch":"cgra-4x4","kernels":["gemm"]}`); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/labels: status %d, want 503: %s", w.Code, w.Body)
+	}
+	w := postMap(t, s.Handler(), `{"kernel":"gemm","arch":"cgra-4x4","engine":"lisa","seed":3}`)
+	if w.Code != http.StatusOK || w.Header().Get(noStoreHeader) != "1" {
+		t.Fatalf("/v1/map: status %d, %s %q; want a degraded 200 marked no-store: %s",
+			w.Code, noStoreHeader, w.Header().Get(noStoreHeader), w.Body)
+	}
+	var resp MapResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.EngineUsed != "sa" || len(resp.Result.Degraded) == 0 ||
+		!strings.HasPrefix(resp.Result.Degraded[0], "lisa\u2192sa: labels unavailable") {
+		t.Fatalf("engineUsed %q, degraded %q; want lisa\u2192sa: labels unavailable…", resp.EngineUsed, resp.Result.Degraded)
 	}
 }

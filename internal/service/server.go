@@ -861,6 +861,8 @@ type labelsItem struct {
 // half of the pipeline without the annealer, for clients that run their own
 // mapper or inspect what the model would steer it with.
 //
+// The body is read whole under the 4 MiB cap, as /v1/map's is, and
+// decodeLabelsRequest leaves each inline DFG as raw bytes for its task.
 // Each DFG runs its own pipeline — resolve or decode and size-check it,
 // generate its attributes, predict it with one fused Predict, encode its
 // row — and the DFGs fan out across cores (parallel.ForEach at GOMAXPROCS
@@ -882,9 +884,11 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LabelsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		req, err = decodeLabelsRequest(raw)
+	}
+	if err != nil {
 		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -272,18 +272,25 @@ func TestMapBadRequests(t *testing.T) {
 }
 
 func TestAdmissionControl429(t *testing.T) {
-	s := testServer(t, Config{Workers: 1, QueueDepth: -1})
+	s := testServer(t, Config{Workers: 1, QueueDepth: 1})
 	h := s.Handler()
 
-	// Occupy the single worker so the next mapping request finds a full pool.
-	// With an unbuffered queue TrySubmit only succeeds once the worker is
-	// parked in its receive, so retry until it picks the blocker up.
+	// Saturate the pool: one blocker on the single worker and one in the
+	// one-slot queue. Each submit lands in the buffered queue at once, and
+	// the first blocker's start proves the worker took it off the queue
+	// before the second goes in.
 	block := make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release) // runs before testServer's Close, which waits for the blockers
 	started := make(chan struct{})
-	for !s.pool.TrySubmit(func() { close(started); <-block }) {
-		time.Sleep(time.Millisecond)
+	queuedDone := make(chan struct{})
+	if !s.pool.TrySubmit(func() { close(started); <-block }) {
+		t.Fatal("the idle pool refused the first blocker")
 	}
 	<-started
+	if !s.pool.TrySubmit(func() { <-block; close(queuedDone) }) {
+		t.Fatal("the empty queue refused the second blocker")
+	}
 
 	w := postMap(t, h, `{"kernel":"gemm","arch":"cgra-4x4","engine":"sa"}`)
 	if w.Code != http.StatusTooManyRequests {
@@ -309,19 +316,19 @@ func TestAdmissionControl429(t *testing.T) {
 			t.Fatalf("batch item %d: %+v, want 429 with a saturated pool", i, it)
 		}
 	}
-	close(block)
-
 	snap := s.metrics.Snapshot(time.Now(), 0, 0)
 	if snap.Rejected != 3 {
 		t.Fatalf("rejected = %d, want 3 (one request, two batch items)", snap.Rejected)
 	}
-	// After the blocker drains, the same request succeeds.
-	deadlineOK := func() bool {
-		w := postMap(t, h, `{"kernel":"gemm","arch":"cgra-4x4","engine":"sa"}`)
-		return w.Code == http.StatusOK
-	}
-	for i := 0; i < 100 && !deadlineOK(); i++ {
-		time.Sleep(5 * time.Millisecond)
+
+	// After the blockers drain, the same request succeeds. The queued
+	// blocker finishing means the worker took it off the queue, so the
+	// queue has room: the next request is admitted whatever the worker is
+	// doing at that moment.
+	release()
+	<-queuedDone
+	if w := postMap(t, h, `{"kernel":"gemm","arch":"cgra-4x4","engine":"sa"}`); w.Code != http.StatusOK {
+		t.Fatalf("status %d after the pool drained, want 200: %s", w.Code, w.Body)
 	}
 }
 

@@ -1,0 +1,51 @@
+package strictjson
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// TestValueMatchesValid: Value followed by End takes exactly the documents
+// json.Valid takes, for every JSON syntax rule, nesting up to maxDepth.
+func TestValueMatchesValid(t *testing.T) {
+	docs := []string{
+		``, ` `, `null`, `nul`, `nulll`, `true`, `tru`, `false`, `fals`,
+		`0`, `-0`, `01`, `-01`, `-`, `1.`, `1.5`, `.5`, `1e`, `1e+`, `1e-7`, `1E+07`, `-0.0e0`, `123456789012345678901234567890`,
+		`""`, `"a"`, `"\"\\\/\b\f\n\r\t"`, `"é😀"`, `"\u12"`, `"\u12g4"`, `"\x"`, `"\'"`, "\"a\tb\"", "\"\x7f\xff\xfe\"", `"abc`, `"\`,
+		`[]`, `[ ]`, `[1,]`, `[,1]`, `[1 2]`, `[1,[2,[3]]]`, `[`, `]`,
+		`{}`, `{ }`, `{"a":1}`, `{"a":1,}`, `{"a" 1}`, `{a:1}`, `{"a":}`, `{1:2}`, `{"a":{"b":[{}]}}`, `{"a":1}}`, `{"a":1`,
+		" \t\r\n[1]\n", "\v[1]", "\xef\xbb\xbf[]",
+		strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth),
+	}
+	for _, doc := range docs {
+		s := New(doc)
+		_, _, ok := s.Value()
+		if got, want := ok && s.End(), json.Valid([]byte(doc)); got != want {
+			t.Errorf("%q: Value+End = %v, json.Valid = %v", doc, got, want)
+		}
+	}
+	// Deeper nesting is valid JSON that Value declines, leaving it to
+	// encoding/json.
+	deep := strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1)
+	if _, _, ok := New(deep).Value(); ok {
+		t.Errorf("Value took nesting deeper than %d", maxDepth)
+	}
+}
+
+// TestValueBounds: Value reports the value's own bytes, without the
+// whitespace around it.
+func TestValueBounds(t *testing.T) {
+	src := ` [ {"a" : [1, "x"]} , -2.5e3 ] `
+	s := New(src)
+	if !s.Next('[') {
+		t.Fatal("no opening bracket")
+	}
+	for _, want := range []string{`{"a" : [1, "x"]}`, `-2.5e3`} {
+		start, end, ok := s.Value()
+		if !ok || src[start:end] != want {
+			t.Fatalf("Value = %q, %v; want %q", src[start:end], ok, want)
+		}
+		s.Next(',')
+	}
+}
