@@ -3,21 +3,21 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
 
 	"github.com/lisa-go/lisa/internal/cluster"
-	"github.com/lisa-go/lisa/internal/dfg"
 	"github.com/lisa-go/lisa/internal/parallel"
 )
 
 // BatchRequest is the POST /v1/map/batch body: up to MaxBatchItems
 // independent mapping requests (any mix of kernels, inline DFGs, archs and
-// engines) answered in one round trip.
+// engines) answered in one round trip. Each item is kept as its own bytes,
+// which /v1/map's decoder reads, so an item that does not decode fails
+// alone, with /v1/map's error.
 type BatchRequest struct {
-	Items []MapRequest `json:"items"`
+	Items []json.RawMessage `json:"items"`
 }
 
 // BatchItemResult is one item's outcome, in request order. Status mirrors
@@ -51,39 +51,25 @@ type BatchResponse struct {
 // that item 429. Volatile dispositions (cache/cluster state) are
 // deliberately absent from the body: identical batches answer
 // byte-identically.
-func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/map/batch"
-	if r.Method != http.MethodPost {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.isDraining() {
-		s.fail(w, route, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	s.metrics.InflightAdd(1)
-	defer s.metrics.InflightAdd(-1)
-
+func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)
+	if err := decodeStrict(body, &req); err != nil {
+		fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Items) == 0 {
-		s.fail(w, route, http.StatusBadRequest, "\"items\" must be non-empty")
+		fail(w, http.StatusBadRequest, "\"items\" must be non-empty")
 		return
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.fail(w, route, http.StatusBadRequest, "batch of %d items exceeds the limit of %d", len(req.Items), s.cfg.MaxBatchItems)
+		fail(w, http.StatusBadRequest, "batch of %d items exceeds the limit of %d", len(req.Items), s.cfg.MaxBatchItems)
 		return
 	}
 
 	cancel := r.Context().Done()
 	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
 	results := parallel.MapOrdered(s.cfg.Workers, len(req.Items), func(i int) BatchItemResult {
-		return s.batchItem(&req.Items[i], cancel, forwarded)
+		return s.batchItem(req.Items[i], cancel, forwarded)
 	})
 
 	resp := BatchResponse{Items: results}
@@ -94,55 +80,34 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Failed++
 		}
 	}
-	s.metrics.Batch(len(results), resp.Failed)
-	s.metrics.Request(route, http.StatusOK)
+	s.metrics.ctr[ctrBatchItems].Add(int64(len(results)))
+	s.metrics.ctr[ctrBatchFailed].Add(int64(resp.Failed))
+	s.metrics.ctr[ctrBatchRequests].Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchItem answers one batch item as /v1/map answers the same request and
-// folds the outcome into the per-item result shape. Its panic fence answers
-// the item 500 with the text /v1/map's fence writes and counts the panic;
-// the other items are unaffected.
-func (s *Server) batchItem(item *MapRequest, cancel <-chan struct{}, forwarded bool) (res BatchItemResult) {
+// batchItem answers one batch item, its own request bytes, as /v1/map
+// answers the same request. Its panic fence answers the item 500 with the
+// text the front door's fence writes and counts the panic; the other items
+// are unaffected.
+func (s *Server) batchItem(raw []byte, cancel <-chan struct{}, forwarded bool) (res BatchItemResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.panicked(rec, debug.Stack())
 			res = BatchItemResult{Status: http.StatusInternalServerError, Error: fmt.Sprintf("internal error: %v", rec)}
 		}
 	}()
-	// Re-marshal the item: prepare and any proxy hop work from exact
-	// request bytes, and for an item those are its own sub-document.
-	raw, err := json.Marshal(item)
-	if err != nil {
-		return BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
-	}
 	job, err := s.prepare(raw)
 	if err != nil {
-		res = BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
-		if de, ok := dfg.AsDefect(err); ok {
-			res.Defect = string(de.Kind)
-		}
-		return res
+		eb := errBody(err)
+		return BatchItemResult{Status: http.StatusBadRequest, Error: eb.Error, Defect: eb.Defect}
 	}
 	out := s.execute(job, cancel, forwarded)
-	switch {
-	case errors.Is(out.err, errCanceled):
-		return BatchItemResult{Status: http.StatusRequestTimeout, Error: "canceled while waiting"}
-	case errors.Is(out.err, errBusy):
-		s.metrics.Rejected()
-		return BatchItemResult{Status: http.StatusTooManyRequests, Error: "mapping queue full, retry later"}
-	case out.err != nil:
-		return BatchItemResult{Status: out.status, Error: out.err.Error()}
-	case out.status == http.StatusOK:
+	if out.err == nil && out.status == http.StatusOK {
 		// Trim the newline /v1/map appends: inside a JSON array the item is
 		// the compact document itself.
 		return BatchItemResult{Status: http.StatusOK, Response: json.RawMessage(bytes.TrimSuffix(out.body, []byte("\n")))}
-	default:
-		// A relayed non-200 from the owning peer: its body is an errorBody.
-		var eb errorBody
-		if json.Unmarshal(out.body, &eb) == nil && eb.Error != "" {
-			return BatchItemResult{Status: out.status, Error: eb.Error, Defect: eb.Defect}
-		}
-		return BatchItemResult{Status: out.status, Error: string(bytes.TrimSpace(out.body))}
 	}
+	status, eb := s.mapFailure(out)
+	return BatchItemResult{Status: status, Error: eb.Error, Defect: eb.Defect}
 }

@@ -151,8 +151,7 @@ func TestChaosStoreReadFault(t *testing.T) {
 	if runs := engineRuns(t, s2); runs != 1 {
 		t.Fatalf("mapper ran %d times under a read fault, want 1 (forced miss)", runs)
 	}
-	snap := s2.metrics.storeSnapshot()
-	if snap.ReadErrors == 0 {
+	if s2.metrics.ctr[ctrStoreReadErrors].Load() == 0 {
 		t.Fatal("store read errors not counted")
 	}
 	alive(t, h)
@@ -171,8 +170,8 @@ func TestChaosStoreWriteFault(t *testing.T) {
 	if under.Code != http.StatusOK {
 		t.Fatalf("request under store.write fault: %d: %s", under.Code, under.Body)
 	}
-	if snap := s.metrics.storeSnapshot(); snap.WriteErrors != 1 {
-		t.Fatalf("write errors = %d, want 1", snap.WriteErrors)
+	if n := s.metrics.ctr[ctrStoreWriteErrors].Load(); n != 1 {
+		t.Fatalf("write errors = %d, want 1", n)
 	}
 	// L1 still has the body: the write failure is invisible to clients.
 	again := postMap(t, h, body)
@@ -268,6 +267,34 @@ func TestBatchValidation(t *testing.T) {
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/map/batch", nil))
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET batch: %d, want 405", w.Code)
+	}
+}
+
+// TestBatchItemDecodeErrorsFailAlone: an item that does not decode as a
+// MapRequest, by an unknown field or a type error, fails alone with the
+// answer /v1/map gives the same bytes, and the batch answers 200.
+func TestBatchItemDecodeErrorsFailAlone(t *testing.T) {
+	s := testServer(t, Config{})
+	h := s.Handler()
+	good := `{"kernel":"gemm","arch":"cgra-4x4","engine":"greedy"}`
+	for _, bad := range []string{`{"kernel":"gemm","arch":"cgra-4x4","turbo":1}`, `{"kernel":"gemm","arch":"cgra-4x4","seed":"7"}`, `[]`} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map/batch", strings.NewReader(`{"items":[`+good+`,`+bad+`]}`)))
+		var resp BatchResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil || len(resp.Items) != 2 {
+			t.Fatalf("batch with %s: %d %s", bad, w.Code, w.Body)
+		}
+		if resp.OK != 1 || resp.Failed != 1 || resp.Items[0].Status != http.StatusOK {
+			t.Fatalf("batch with %s: %s, want the good item 200 and the bad one failed", bad, w.Body)
+		}
+		single := postMap(t, h, bad)
+		var eb errorBody
+		if err := json.Unmarshal(single.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if it := resp.Items[1]; single.Code != http.StatusBadRequest || it.Status != single.Code || it.Error != eb.Error {
+			t.Fatalf("item %s: %d %q; /v1/map: %d %q", bad, it.Status, it.Error, single.Code, eb.Error)
+		}
 	}
 }
 
@@ -458,7 +485,7 @@ func TestClusterFallbackWhenOwnerUnreachable(t *testing.T) {
 	if !bytes.Equal(b, ref.Body.Bytes()) {
 		t.Fatalf("%s: fallback body differs from a single-node daemon", body)
 	}
-	if _, fallbacks := s.metrics.clusterCounters(); fallbacks == 0 {
+	if s.metrics.ctr[ctrFallbacks].Load() == 0 {
 		t.Fatal("fallbacks not counted")
 	}
 }

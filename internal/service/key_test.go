@@ -270,30 +270,6 @@ func TestMapNamedKernelErrorsUnchanged(t *testing.T) {
 	}
 }
 
-// Above the memoized factors (only reachable with the unroll cap lifted) a
-// named kernel is encoded per request and keys like the built graph.
-func TestMapUncappedUnrollBeyondMemo(t *testing.T) {
-	s := testServer(t, Config{MaxUnroll: -1})
-	job, err := s.prepare([]byte(`{"kernel":"gemm","arch":"cgra-4x4","engine":"sa","unroll":12}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := dfg.Unroll(kernels.MustByName("gemm"), 12)
-	if want := fmtCacheKey(g, "gemm", "cgra-4x4", engine.SA, job.mapOpts, job.mapOpts.TimeLimit.Milliseconds()); job.key != want {
-		t.Fatalf("unroll 12 key %s, built graph's %s", job.key, want)
-	}
-	if got := job.graph(); got.CanonicalString() != g.CanonicalString() {
-		t.Fatal("the mapping run's graph differs from the directly unrolled kernel")
-	}
-}
-
-// The memo covers exactly the factors a default server accepts.
-func TestMemoCoversDefaultUnrollCap(t *testing.T) {
-	if got := DefaultConfig().MaxUnroll; got != kernels.MemoUnroll {
-		t.Fatalf("DefaultConfig().MaxUnroll = %d, kernels.MemoUnroll = %d", got, kernels.MemoUnroll)
-	}
-}
-
 // maxHitAllocs bounds the allocations of one L1 hit through the handler,
 // beyond what the test harness itself allocates.
 const maxHitAllocs = 40

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 
 	"github.com/lisa-go/lisa/internal/strictjson"
@@ -10,16 +9,13 @@ import (
 // decodeLabelsRequest decodes a /v1/labels body. A body in the strict shape
 // splitLabelsRequest takes costs one pass that leaves the inline DFGs
 // undecoded, for the per-DFG tasks to decode in parallel; any other body is
-// decoded by encoding/json with unknown fields disallowed, so every
-// rejection carries encoding/json's text.
+// decoded by decodeStrict, so every rejection carries its text.
 func decodeLabelsRequest(body []byte) (LabelsRequest, error) {
 	if req, ok := splitLabelsRequest(body); ok {
 		return req, nil
 	}
 	var req LabelsRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+	err := decodeStrict(body, &req)
 	return req, err
 }
 
@@ -28,7 +24,7 @@ func decodeLabelsRequest(body []byte) (LabelsRequest, error) {
 // only whitespace after it: arch a plain string (printable ASCII, no
 // escapes), kernels an array of plain strings, dfgs an array of JSON values
 // of any kind, each syntax-checked and handed on as its raw bytes. ok is
-// false for anything else. What it accepts, encoding/json decodes to the
+// false for anything else. What it accepts, decodeStrict decodes to the
 // same LabelsRequest (FuzzLabelsRequest).
 func splitLabelsRequest(body []byte) (req LabelsRequest, ok bool) {
 	s := strictjson.New(string(body))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,9 +13,10 @@ import (
 )
 
 // FuzzLabelsRequest: splitLabelsRequest either declines a body or yields
-// the LabelsRequest encoding/json with unknown fields disallowed decodes it
-// to. `go test` runs the seeds (the f.Add ones and testdata/fuzz);
-// `go test -fuzz=FuzzLabelsRequest` explores further.
+// the LabelsRequest decodeStrict, encoding/json with unknown fields and
+// trailing data disallowed, decodes it to. `go test` runs the seeds (the
+// f.Add ones and testdata/fuzz); `go test -fuzz=FuzzLabelsRequest`
+// explores further.
 func FuzzLabelsRequest(f *testing.F) {
 	f.Add(`{"arch":"cgra-4x4","kernels":["gemm","atax"],"dfgs":[{"name":"x","nodes":[{"name":"a","op":"load"}],"edges":[]}]}`)
 	f.Add(`{"arch":"cgra-4x4","kernels":[],"dfgs":[null,"s",-0.5e3,true,[],{}]}`)
@@ -25,13 +27,11 @@ func FuzzLabelsRequest(f *testing.F) {
 			return
 		}
 		var want LabelsRequest
-		dec := json.NewDecoder(strings.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&want); err != nil {
-			t.Fatalf("the split took a body encoding/json rejects: %v", err)
+		if err := decodeStrict([]byte(body), &want); err != nil {
+			t.Fatalf("the split took a body decodeStrict rejects: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("the split gave %+v, encoding/json %+v", got, want)
+			t.Fatalf("the split gave %+v, decodeStrict %+v", got, want)
 		}
 	})
 }
@@ -74,6 +74,23 @@ func TestLabelsOverCapBody(t *testing.T) {
 	s := testServer(t, Config{})
 	body := `{"arch":"cgra-4x4","kernels":["gemm"]}` + strings.Repeat(" ", maxBodyBytes)
 	w := postLabels(t, s.Handler(), body)
+	var eb errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusBadRequest || eb.Error != "bad request body: http: request body too large" {
+		t.Fatalf("status %d, error %q; want 400 bad request body: http: request body too large", w.Code, eb.Error)
+	}
+}
+
+// TestBatchOverCapBody: /v1/map/batch reads its body as /v1/map and
+// /v1/labels do, so a body over the 4 MiB cap answers 400 even when its
+// first JSON value ends inside the cap.
+func TestBatchOverCapBody(t *testing.T) {
+	s := testServer(t, Config{})
+	body := `{"items":[{"kernel":"gemm","arch":"cgra-4x4","engine":"greedy"}]}` + strings.Repeat(" ", maxBodyBytes)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map/batch", strings.NewReader(body)))
 	var eb errorBody
 	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
 		t.Fatal(err)

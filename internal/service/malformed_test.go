@@ -100,11 +100,12 @@ var malformedLabelsBodies = []string{
 }
 
 // malformedBodiesSHA256 is the SHA-256 over the status and body of every
-// request TestMalformedBodiesAnswerAsBefore sends, as the server answered
-// them before /v1/labels and ReadJSON took their strict passes: both
-// passes only take what encoding/json decodes alike, and hand everything
-// else to encoding/json, so no answer may change.
-const malformedBodiesSHA256 = "8834a6bbdfb4f5a849e70b7f3665884e4ba45834bd0251f880bfde10dd713ac1"
+// request TestMalformedBodiesAnswerAsBefore sends. The strict passes of
+// /v1/labels and ReadJSON only take what encoding/json decodes alike, and
+// hand everything else to encoding/json, so they changed no answer. The
+// one later change is decodeStrict's: the two labels bodies with data after
+// the JSON value answer 400 "data after the JSON value", not 200.
+const malformedBodiesSHA256 = "74280c7dc7d2167d3141254590f386d769387388a5dee04837515827ad3b56a6"
 
 // TestMalformedBodiesAnswerAsBefore sends each malformed DFG inline to
 // /v1/labels and to /v1/map, and each malformed labels body to /v1/labels,

@@ -1,167 +1,94 @@
 package service
 
 import (
-	"sort"
-	"sync"
+	"slices"
+	"strconv"
+	"sync/atomic"
 	"time"
 
+	"github.com/lisa-go/lisa/internal/engine"
 	"github.com/lisa-go/lisa/internal/fault"
 )
 
 // latencyBuckets are the upper bounds (inclusive, milliseconds) of the
 // per-engine latency histogram; the final +Inf bucket is implicit.
-var latencyBuckets = []int64{1, 5, 10, 50, 100, 500, 1000, 5000, 30000}
+var latencyBuckets = [...]int64{1, 5, 10, 50, 100, 500, 1000, 5000, 30000}
 
-// Metrics aggregates request-level counters for /metrics. All methods are
-// safe for concurrent use.
+// counter indexes Metrics.ctr, the table of plain counters.
+type counter int
+
+const (
+	ctrInflight         counter = iota // work requests (map, batch, labels) in flight
+	ctrRejected                        // 429s from admission control
+	ctrPanics                          // recovered panics (handlers and pool tasks)
+	ctrCacheHits                       // L1 hits
+	ctrCacheMisses                     // mapper actually ran
+	ctrCoalesced                       // followers served by a singleflight leader
+	ctrStoreHits                       // L1 miss answered from disk
+	ctrStoreMisses                     // key absent from both tiers (mapper ran)
+	ctrStoreReadErrors                 // read failures treated as misses (incl. corrupt entries)
+	ctrStoreWriteErrors                // write failures (result still served, just not persisted)
+	ctrProxied                         // answered by forwarding to the owning peer
+	ctrFallbacks                       // owner unreachable/overloaded → computed locally anyway
+	ctrBatchRequests                   // /v1/map/batch requests answered 200
+	ctrBatchItems                      // their items
+	ctrBatchFailed                     // items that did not produce a 200 result
+	numCounters
+)
+
+// engineNames indexes Metrics' per-engine cells.
+var engineNames = engine.Names()
+
+// Metrics aggregates request-level counters for /metrics in fixed atomic
+// cells, so every method is safe for concurrent use and none takes a lock.
 type Metrics struct {
-	mu sync.Mutex
-
-	start     time.Time
-	requests  map[string]int64 // per route
-	status    map[int]int64    // per HTTP status
-	inflight  int64            // /v1/map requests currently admitted
-	rejected  int64            // 429s from admission control
-	hits      int64            // cache hits
-	misses    int64            // cache misses (mapper actually ran)
-	coalesced int64            // followers served by a singleflight leader
-	panics    int64            // recovered panics (handlers and pool tasks)
-	engines   map[string]*engineStats
-
-	// Persistent store (L2) counters; all zero when no store is configured.
-	storeHits      int64 // L1 miss answered from disk
-	storeMisses    int64 // key absent from both tiers (mapper ran)
-	storeReadErrs  int64 // read failures treated as misses (incl. corrupt entries)
-	storeWriteErrs int64 // write failures (result still served, just not persisted)
-
-	// Cluster counters; all zero when single-node.
-	proxied   int64 // requests answered by forwarding to the owning peer
-	fallbacks int64 // owner unreachable/overloaded → computed locally anyway
-
-	// Batch endpoint counters.
-	batchRequests int64
-	batchItems    int64
-	batchFailed   int64 // items that did not produce a 200 result
+	start    time.Time
+	ctr      [numCounters]atomic.Int64
+	requests [numRoutes]atomic.Int64
+	status   [1000]atomic.Int64 // by HTTP status, which net/http keeps to 100–999
+	engines  []engineStats      // by engineNames index
 }
 
 type engineStats struct {
-	count    int64
-	failures int64 // mapper returned OK=false
-	degraded int64 // responses produced by a fallback rung, not the engine itself
-	totalNS  int64
-	buckets  []int64 // len(latencyBuckets)+1, last = +Inf
+	count    atomic.Int64
+	failures atomic.Int64 // mapper returned OK=false
+	degraded atomic.Int64 // responses produced by a fallback rung, not the engine itself
+	totalNS  atomic.Int64
+	buckets  [len(latencyBuckets) + 1]atomic.Int64 // last = +Inf
 }
 
 // NewMetrics creates an empty metrics set anchored at now.
 func NewMetrics(now time.Time) *Metrics {
-	return &Metrics{
-		start:    now,
-		requests: make(map[string]int64),
-		status:   make(map[int]int64),
-		engines:  make(map[string]*engineStats),
-	}
+	return &Metrics{start: now, engines: make([]engineStats, len(engineNames))}
 }
 
-// Request counts one request to a route with its response status.
-func (m *Metrics) Request(route string, status int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[route]++
-	m.status[status]++
+// request counts one answer of a route with the status sent.
+func (m *Metrics) request(rt route, status int) {
+	m.requests[rt].Add(1)
+	m.status[status].Add(1)
 }
 
-// InflightAdd moves the in-flight gauge by delta.
-func (m *Metrics) InflightAdd(delta int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inflight += delta
-}
-
-// Rejected counts one admission-control refusal.
-func (m *Metrics) Rejected() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rejected++
-}
-
-// CacheHit / CacheMiss / Coalesced classify how a /v1/map request was
-// answered: from the cache, by running the mapper, or by joining another
-// request's run.
-func (m *Metrics) CacheHit() { m.mu.Lock(); m.hits++; m.mu.Unlock() }
-
-func (m *Metrics) CacheMiss() { m.mu.Lock(); m.misses++; m.mu.Unlock() }
-
-func (m *Metrics) Coalesced() { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
-
-// StoreHit / StoreMiss / StoreReadError / StoreWriteError classify how the
-// persistent store (L2) participated in a request that missed L1.
-func (m *Metrics) StoreHit() { m.mu.Lock(); m.storeHits++; m.mu.Unlock() }
-
-func (m *Metrics) StoreMiss() { m.mu.Lock(); m.storeMisses++; m.mu.Unlock() }
-
-func (m *Metrics) StoreReadError() { m.mu.Lock(); m.storeReadErrs++; m.mu.Unlock() }
-
-func (m *Metrics) StoreWriteError() { m.mu.Lock(); m.storeWriteErrs++; m.mu.Unlock() }
-
-// Proxied counts one request answered by the key's owning peer; Fallback
-// counts one request computed locally because the owner could not serve it.
-func (m *Metrics) Proxied() { m.mu.Lock(); m.proxied++; m.mu.Unlock() }
-
-func (m *Metrics) Fallback() { m.mu.Lock(); m.fallbacks++; m.mu.Unlock() }
-
-// Batch records one /v1/map/batch request with its item and failure counts.
-func (m *Metrics) Batch(items, failed int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batchRequests++
-	m.batchItems += int64(items)
-	m.batchFailed += int64(failed)
-}
-
-// Panic counts one recovered panic (a handler or a pool task).
-func (m *Metrics) Panic() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.panics++
-}
-
-// DegradedRun counts one response for the *requested* engine that was
-// produced by a degradation-ladder fallback rather than the engine itself.
-func (m *Metrics) DegradedRun(eng string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.engine(eng).degraded++
-}
-
-// engine returns the stats slot for eng, creating it. m.mu must be held.
-func (m *Metrics) engine(eng string) *engineStats {
-	e := m.engines[eng]
-	if e == nil {
-		e = &engineStats{buckets: make([]int64, len(latencyBuckets)+1)}
-		m.engines[eng] = e
-	}
-	return e
-}
-
-// Mapped records one completed mapper invocation for an engine.
-func (m *Metrics) Mapped(eng string, ok bool, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.engine(eng)
-	e.count++
+// Mapped records one completed mapper invocation for an engine; degraded
+// marks a response a degradation-ladder fallback produced rather than the
+// requested engine itself.
+func (m *Metrics) Mapped(eng engine.Name, ok, degraded bool, elapsed time.Duration) {
+	e := &m.engines[slices.Index(engineNames, string(eng))] // engine.Parse admits only these
+	e.count.Add(1)
 	if !ok {
-		e.failures++
+		e.failures.Add(1)
 	}
-	e.totalNS += int64(elapsed)
-	ms := elapsed.Milliseconds()
+	if degraded {
+		e.degraded.Add(1)
+	}
+	e.totalNS.Add(int64(elapsed))
 	slot := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if ms <= ub {
-			slot = i
+	for j, ub := range latencyBuckets {
+		if elapsed.Milliseconds() <= ub {
+			slot = j
 			break
 		}
 	}
-	e.buckets[slot]++
+	e.buckets[slot].Add(1)
 }
 
 // Snapshot types mirror the /metrics JSON document.
@@ -181,7 +108,7 @@ type (
 		// counters from Metrics, census gauges from the subsystems).
 		Store   *StoreSnapshot   `json:"store,omitempty"`
 		Cluster *ClusterSnapshot `json:"cluster,omitempty"`
-		// Batch is present once /v1/map/batch has been used.
+		// Batch is present once /v1/map/batch has answered a batch.
 		Batch *BatchSnapshot `json:"batch,omitempty"`
 		// Models reports model acquisition (the /metrics handler fills it in
 		// from the registry): resolved models by provenance, plus the
@@ -265,91 +192,60 @@ type (
 
 // Snapshot captures the current counters. cacheEntries and cacheBytes are
 // supplied by the caller (the cache owns its gauges); now supplies the
-// uptime reference. Store and Cluster blocks are left nil — the /metrics
-// handler attaches them when those subsystems are configured (see
-// storeSnapshot / clusterCounters).
+// uptime reference. Routes, statuses and engines that have counted nothing
+// are left out. The Store and Cluster blocks are left nil: the /metrics
+// handler attaches them when those subsystems are configured.
 func (m *Metrics) Snapshot(now time.Time, cacheEntries int, cacheBytes int64) MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := MetricsSnapshot{
 		UptimeSeconds: now.Sub(m.start).Seconds(),
-		Requests:      make(map[string]int64, len(m.requests)),
-		Status:        make(map[string]int64, len(m.status)),
-		Inflight:      m.inflight,
-		Rejected:      m.rejected,
-		Panics:        m.panics,
+		Requests:      make(map[string]int64),
+		Status:        make(map[string]int64),
+		Inflight:      m.ctr[ctrInflight].Load(),
+		Rejected:      m.ctr[ctrRejected].Load(),
+		Panics:        m.ctr[ctrPanics].Load(),
 		Cache: CacheSnapshot{
-			Hits:      m.hits,
-			Misses:    m.misses,
-			Coalesced: m.coalesced,
+			Hits:      m.ctr[ctrCacheHits].Load(),
+			Misses:    m.ctr[ctrCacheMisses].Load(),
+			Coalesced: m.ctr[ctrCoalesced].Load(),
 			Entries:   cacheEntries,
 			Bytes:     cacheBytes,
 		},
-		Engines: make(map[string]EngineSnapshot, len(m.engines)),
+		Engines: make(map[string]EngineSnapshot),
 	}
-	if m.batchRequests > 0 {
-		s.Batch = &BatchSnapshot{Requests: m.batchRequests, Items: m.batchItems, FailedItems: m.batchFailed}
+	if n := m.ctr[ctrBatchRequests].Load(); n > 0 {
+		s.Batch = &BatchSnapshot{Requests: n, Items: m.ctr[ctrBatchItems].Load(), FailedItems: m.ctr[ctrBatchFailed].Load()}
 	}
-	if total := m.hits + m.misses + m.coalesced; total > 0 {
+	c := &s.Cache
+	if total := c.Hits + c.Misses + c.Coalesced; total > 0 {
 		// Coalesced followers count as hits: the mapper did not run for them.
-		s.Cache.HitRatio = float64(m.hits+m.coalesced) / float64(total)
+		c.HitRatio = float64(c.Hits+c.Coalesced) / float64(total)
 	}
-	//lisa:vet-ok maprange map-to-map snapshot copies; encoding/json sorts map keys when the snapshot is served
-	for route, n := range m.requests {
-		s.Requests[route] = n
-	}
-	//lisa:vet-ok maprange same: per-key copy into a map that json marshals with sorted keys
-	for code, n := range m.status {
-		s.Status[statusKey(code)] = n
-	}
-	names := make([]string, 0, len(m.engines))
-	for name := range m.engines {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := m.engines[name]
-		es := EngineSnapshot{Count: e.count, Failures: e.failures, Degraded: e.degraded}
-		if e.count > 0 {
-			es.AvgMillis = float64(e.totalNS) / float64(e.count) / 1e6
+	for rt := range m.requests {
+		if n := m.requests[rt].Load(); n > 0 {
+			s.Requests[routeNames[rt]] = n
 		}
-		for i, n := range e.buckets {
+	}
+	for code := range m.status {
+		if n := m.status[code].Load(); n > 0 {
+			s.Status[strconv.Itoa(code)] = n
+		}
+	}
+	for i := range m.engines {
+		e := &m.engines[i]
+		es := EngineSnapshot{Count: e.count.Load(), Failures: e.failures.Load(), Degraded: e.degraded.Load()}
+		if es.Count == 0 {
+			continue
+		}
+		es.AvgMillis = float64(e.totalNS.Load()) / float64(es.Count) / 1e6
+		es.Histogram = make([]HistogramEntry, len(e.buckets))
+		for j := range e.buckets {
 			le := int64(-1)
-			if i < len(latencyBuckets) {
-				le = latencyBuckets[i]
+			if j < len(latencyBuckets) {
+				le = latencyBuckets[j]
 			}
-			es.Histogram = append(es.Histogram, HistogramEntry{Le: le, Count: n})
+			es.Histogram[j] = HistogramEntry{Le: le, Count: e.buckets[j].Load()}
 		}
-		s.Engines[name] = es
+		s.Engines[engineNames[i]] = es
 	}
 	return s
-}
-
-// storeSnapshot returns the L2 counter half of a StoreSnapshot; the
-// /metrics handler adds the on-disk census gauges.
-func (m *Metrics) storeSnapshot() StoreSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return StoreSnapshot{
-		Hits:        m.storeHits,
-		Misses:      m.storeMisses,
-		ReadErrors:  m.storeReadErrs,
-		WriteErrors: m.storeWriteErrs,
-	}
-}
-
-// clusterCounters returns the routing counters for a ClusterSnapshot.
-func (m *Metrics) clusterCounters() (proxied, fallbacks int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.proxied, m.fallbacks
-}
-
-// statusKey renders an HTTP status as a JSON map key.
-func statusKey(code int) string {
-	const digits = "0123456789"
-	if code < 100 || code > 999 {
-		return "unknown"
-	}
-	return string([]byte{digits[code/100], digits[code/10%10], digits[code%10]})
 }

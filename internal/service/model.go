@@ -37,27 +37,21 @@ func modelKey(name string) string { return "model/" + name }
 // fetch must never cascade into training on the serving peer. It also
 // answers while draining: shipping an already-resolved model is how a
 // restarting fleet rewarms, exactly when drains happen.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/model"
-	if r.Method != http.MethodGet {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, _ []byte) {
 	name, err := url.PathUnescape(strings.TrimPrefix(r.URL.Path, "/v1/model/"))
 	if err != nil || name == "" || strings.Contains(name, "/") {
-		s.fail(w, route, http.StatusBadRequest, "use GET /v1/model/{arch}")
+		fail(w, http.StatusBadRequest, "use GET /v1/model/{arch}")
 		return
 	}
 	if _, ok := arch.ByName(name); !ok {
-		s.fail(w, route, http.StatusNotFound, "unknown arch %q (have %v)", name, arch.Names())
+		fail(w, http.StatusNotFound, "unknown arch %q (have %v)", name, arch.Names())
 		return
 	}
 	body, err := s.reg.ModelBytes(name)
 	if err != nil {
-		s.fail(w, route, http.StatusNotFound, "%v", err)
+		fail(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	s.metrics.Request(route, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(cluster.ModelSHAHeader, cluster.PayloadSHA(body))
 	w.Header().Set(cluster.ModelLenHeader, strconv.Itoa(len(body)))

@@ -20,7 +20,7 @@ import (
 // whose defect field names the specific problem — never a 500, never a
 // crashed handler.
 func TestMapInlineDFGDefects(t *testing.T) {
-	s := testServer(t, Config{MaxDFGNodes: 8, MaxDFGEdges: 8, MaxUnroll: 4})
+	s := testServer(t, Config{MaxDFGNodes: 8, MaxDFGEdges: 8})
 	h := s.Handler()
 
 	mapBody := func(dfgDoc string, extra string) string {
@@ -53,7 +53,7 @@ func TestMapInlineDFGDefects(t *testing.T) {
 		{"disconnected", mapBody(`{"name":"g","nodes":[{"name":"a","op":"add"},{"name":"b","op":"mul"}],"edges":[]}`, ""), "not-connected"},
 		{"too many nodes", mapBody(bigDFG(9), ""), "too-large"},
 		{"too large after unroll", mapBody(bigDFG(5), `,"unroll":2`), "too-large"},
-		{"unroll factor over cap", mapBody(bigDFG(2), `,"unroll":5`), "too-large"},
+		{"unroll factor over cap", mapBody(bigDFG(2), `,"unroll":9`), "too-large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -276,10 +276,11 @@ func TestHandlerPanicIsA500NotACrash(t *testing.T) {
 			t.Error("panic reported with no stack")
 		}
 	}})
-	// Wrap a deliberately panicking handler in the server's own fence.
-	h := s.recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	// Mount a deliberately panicking handler through the server's own front
+	// door.
+	h := s.serve(endpoint{route: routeHealthz, handle: func(http.ResponseWriter, *http.Request, []byte) {
 		panic("boom")
-	}))
+	}})
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/anything", nil))
 	if w.Code != http.StatusInternalServerError {

@@ -29,9 +29,10 @@
 // options, seed) for the SA-family engines, a cache hit, a fresh run, and
 // a re-run after restart all return byte-identical bodies.
 //
-// The daemon is crash-proofed for long-lived serving: every handler runs
-// behind a panic fence (500 + a panics counter, never a dead process),
-// mapping requests go through engine.Run's graceful-degradation ladder
+// The daemon is crash-proofed for long-lived serving: every request passes
+// one front door (serve) that fences panics (500 + a panics counter, never
+// a dead process) and counts its answer in /metrics, mapping requests go
+// through engine.Run's graceful-degradation ladder
 // (degraded responses are labeled and never cached), inline DFGs are
 // structurally validated and size-capped before any analysis touches
 // them, and POST /v1/reload is the explicit recovery path for cached
@@ -41,6 +42,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,7 +51,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/lisa-go/lisa/internal/arch"
@@ -118,13 +120,11 @@ type Config struct {
 	// are trusted and exempt.
 	MaxDFGNodes int
 	MaxDFGEdges int
-	// MaxUnroll caps the request unroll factor (0: default; negative:
-	// uncapped).
-	MaxUnroll int
 	// MaxRestarts caps the portfolio width a request may ask for
 	// (mapper.Options.Restarts): each restart is one full annealing chain,
-	// so the cap bounds per-request compute the same way MaxUnroll bounds
-	// graph size (0: default; negative: uncapped up to mapper.MaxRestarts).
+	// so the cap bounds per-request compute the same way the unroll cap
+	// (kernels.MemoUnroll) bounds graph size (0: default; negative:
+	// uncapped up to mapper.MaxRestarts).
 	MaxRestarts int
 	// ModelsDir, when set, is rescanned by POST /v1/reload for model files
 	// that appeared after startup.
@@ -150,7 +150,6 @@ func DefaultConfig() Config {
 		MaxDeadline:     2 * time.Minute,
 		MaxDFGNodes:     512,
 		MaxDFGEdges:     2048,
-		MaxUnroll:       8,
 		MaxRestarts:     8,
 		MapOpts:         mapper.DefaultOptions(),
 		ILPOpts:         ilp.DefaultOptions(),
@@ -191,11 +190,6 @@ func (c Config) withDefaults() Config {
 	} else if c.MaxDFGEdges < 0 {
 		c.MaxDFGEdges = 0
 	}
-	if c.MaxUnroll == 0 {
-		c.MaxUnroll = d.MaxUnroll
-	} else if c.MaxUnroll < 0 {
-		c.MaxUnroll = 0
-	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = d.MaxRestarts
 	} else if c.MaxRestarts < 0 {
@@ -220,8 +214,7 @@ type Server struct {
 	pool    *parallel.Pool
 	metrics *Metrics
 
-	mu       sync.Mutex
-	draining bool
+	draining atomic.Bool // set by Close; the front door then refuses work
 }
 
 // New builds a server over a model registry (which may have been pre-loaded
@@ -251,7 +244,7 @@ func New(cfg Config, reg *registry.Registry) *Server {
 // panicked is the central sink for every recovered panic: count it and
 // hand the stack to the configured crash log.
 func (s *Server) panicked(recovered any, stack []byte) {
-	s.metrics.Panic()
+	s.metrics.ctr[ctrPanics].Add(1)
 	if s.cfg.OnPanic != nil {
 		s.cfg.OnPanic(recovered, stack)
 	}
@@ -261,55 +254,131 @@ func (s *Server) panicked(recovered any, stack []byte) {
 // finish — the graceful-drain half of SIGTERM handling (the HTTP listener
 // itself is drained by http.Server.Shutdown).
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
+	s.draining.Store(true)
 	s.pool.Close()
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+// route names one endpoint Handler mounts; routeNames holds the name
+// /metrics counts it under.
+type route int
+
+const (
+	routeMap route = iota
+	routeBatch
+	routeLabels
+	routeArchs
+	routeModel
+	routeKernels
+	routeReload
+	routeHealthz
+	routeReadyz
+	routeMetrics
+	numRoutes
+)
+
+var routeNames = [numRoutes]string{
+	"/v1/map", "/v1/map/batch", "/v1/labels", "/v1/archs", "/v1/model",
+	"/v1/kernels", "/v1/reload", "/healthz", "/readyz", "/metrics",
 }
 
-// Handler returns the route mux. Every route is wrapped in a panic fence:
-// a panicking handler produces a 500 and a panics-counter tick, and the
-// daemon keeps serving.
+// endpoint is one route Handler mounts. handle gets the request body only
+// on a work route; the others read none.
+type endpoint struct {
+	pattern string // the ServeMux pattern
+	route   route
+	method  string // the one method the route takes; "" takes any
+	work    bool   // refused while draining, gauged in flight, body read whole
+	handle  func(w http.ResponseWriter, r *http.Request, body []byte)
+}
+
+// Handler returns the route mux, every route mounted through serve.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/map", s.handleMap)
-	mux.HandleFunc("/v1/map/batch", s.handleMapBatch)
-	mux.HandleFunc("/v1/labels", s.handleLabels)
-	mux.HandleFunc("/v1/archs", s.handleArchs)
-	mux.HandleFunc("/v1/model/", s.handleModel)
-	mux.HandleFunc("/v1/kernels", s.handleKernels)
-	mux.HandleFunc("/v1/reload", s.handleReload)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return s.recoverPanics(mux)
+	for _, e := range []endpoint{
+		{"/v1/map", routeMap, http.MethodPost, true, s.handleMap},
+		{"/v1/map/batch", routeBatch, http.MethodPost, true, s.handleMapBatch},
+		{"/v1/labels", routeLabels, http.MethodPost, true, s.handleLabels},
+		{"/v1/archs", routeArchs, http.MethodGet, false, s.handleArchs},
+		{"/v1/model/", routeModel, http.MethodGet, false, s.handleModel},
+		{"/v1/kernels", routeKernels, http.MethodGet, false, s.handleKernels},
+		{"/v1/reload", routeReload, http.MethodPost, false, s.handleReload},
+		{"/healthz", routeHealthz, "", false, s.handleHealthz},
+		{"/readyz", routeReadyz, http.MethodGet, false, s.handleReadyz},
+		{"/metrics", routeMetrics, "", false, s.handleMetrics},
+	} {
+		mux.Handle(e.pattern, s.serve(e))
+	}
+	return mux
 }
 
-// recoverPanics is the handler-level panic fence.
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
+// serve is the front door every request passes through. It answers a
+// method the route does not take 405, and fences panics: a panicking
+// handler answers 500 and ticks the panics counter, and the daemon keeps
+// serving. A work route is refused 503 while draining, gauged in flight,
+// and handed its body read whole under the 4 MiB cap. Every answer is
+// counted once in /metrics, by route and by the status actually sent.
+func (s *Server) serve(e endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
-			rec := recover()
-			if rec == nil {
+			if rec := recover(); rec != nil {
+				if err, ok := rec.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+					panic(rec) // the deliberate connection-abort idiom; not a crash
+				}
+				s.panicked(rec, debug.Stack())
+				// Best effort: if the handler already started the response the
+				// status line is gone, but a fresh panic happens before any write.
+				writeJSON(sw, http.StatusInternalServerError,
+					errorBody{Error: fmt.Sprintf("internal error: %v", rec)})
+			}
+			// net/http sends 200 for a handler that writes nothing.
+			s.metrics.request(e.route, cmp.Or(sw.status, http.StatusOK))
+		}()
+		if e.method != "" && r.Method != e.method {
+			fail(sw, http.StatusMethodNotAllowed, "use %s", e.method)
+			return
+		}
+		var body []byte
+		if e.work {
+			if s.draining.Load() {
+				fail(sw, http.StatusServiceUnavailable, "server is draining")
 				return
 			}
-			if err, ok := rec.(error); ok && errors.Is(err, http.ErrAbortHandler) {
-				panic(rec) // the deliberate connection-abort idiom; not a crash
+			s.metrics.ctr[ctrInflight].Add(1)
+			defer s.metrics.ctr[ctrInflight].Add(-1)
+			// MaxBytesReader gets the unwrapped writer: only net/http's own can
+			// close the connection after an over-cap body.
+			var err error
+			if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+				fail(sw, http.StatusBadRequest, "bad request body: %v", err)
+				return
 			}
-			s.panicked(rec, debug.Stack())
-			// Best effort: if the handler already started the response the
-			// status line is gone, but a fresh panic happens before any write.
-			writeJSON(w, http.StatusInternalServerError,
-				errorBody{Error: fmt.Sprintf("internal error: %v", rec)})
-		}()
-		next.ServeHTTP(w, r)
+		}
+		e.handle(sw, r, body)
 	})
+}
+
+// statusWriter records the status a handler sends, for the front door's
+// count.
+type statusWriter struct {
+	http.ResponseWriter
+	status int // 0 until the handler sends one
+}
+
+// WriteHeader records code only once net/http has accepted it: a code
+// outside 100–999 panics there, and the fence then sends a 500.
+func (w *statusWriter) WriteHeader(code int) {
+	w.ResponseWriter.WriteHeader(code)
+	if w.status == 0 {
+		w.status = code
+	}
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return w.ResponseWriter.Write(p)
 }
 
 // MapRequest is the POST /v1/map body. Exactly one of Kernel and DFG names
@@ -377,19 +446,37 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(body) // a write error means the client hung up; nothing to do
 }
 
-func (s *Server) fail(w http.ResponseWriter, route string, status int, format string, args ...any) {
-	s.metrics.Request(route, status)
+func fail(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // failErr writes an error response, classifying DFG defects for clients.
-func (s *Server) failErr(w http.ResponseWriter, route string, status int, err error) {
-	s.metrics.Request(route, status)
+func failErr(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, errBody(err))
+}
+
+// errBody is err's error body, with the dfg.Defect class of a DFG defect.
+func errBody(err error) errorBody {
 	body := errorBody{Error: err.Error()}
 	if de, ok := dfg.AsDefect(err); ok {
 		body.Defect = string(de.Kind)
 	}
-	writeJSON(w, status, body)
+	return body
+}
+
+// decodeStrict decodes body, one JSON value with nothing after it but JSON
+// whitespace, into v with unknown fields disallowed. Every rejection but
+// "data after the JSON value" is encoding/json's own.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // mapJob is one fully validated mapping request: everything execute needs,
@@ -432,9 +519,7 @@ type mapOutcome struct {
 // its memoized canonical bytes, so prepare builds no graph for it.
 func (s *Server) prepare(raw []byte) (*mapJob, error) {
 	job := &mapJob{raw: raw}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job.req); err != nil {
+	if err := decodeStrict(raw, &job.req); err != nil {
 		return nil, fmt.Errorf("bad request body: %v", err)
 	}
 
@@ -499,22 +584,22 @@ func (s *Server) execute(job *mapJob, cancel <-chan struct{}, forwarded bool) ma
 		// for availability exactly like a real cache outage would. The
 		// injection itself is visible in /metrics under faults.
 	} else if body, ok := s.cache.Get(key); ok {
-		s.metrics.CacheHit()
+		s.metrics.ctr[ctrCacheHits].Add(1)
 		return mapOutcome{flightResult: flightResult{body: body, status: http.StatusOK}, cacheState: "hit"}
 	} else if st := s.cfg.Store; st != nil {
 		body, err := st.Get(key)
 		switch {
 		case err == nil:
-			s.metrics.StoreHit()
+			s.metrics.ctr[ctrStoreHits].Add(1)
 			s.cache.Add(key, body) // promote to L1; next hit skips the disk
 			return mapOutcome{flightResult: flightResult{body: body, status: http.StatusOK}, cacheState: "store"}
 		case errors.Is(err, store.ErrNotFound):
-			s.metrics.StoreMiss()
+			s.metrics.ctr[ctrStoreMisses].Add(1)
 		default:
 			// Read failures (injected, torn, bit-rot) are forced misses: the
 			// store self-heals corrupt entries and the fresh compute rewrites
 			// them. Availability over persistence, never the reverse.
-			s.metrics.StoreReadError()
+			s.metrics.ctr[ctrStoreReadErrors].Add(1)
 		}
 	}
 
@@ -536,10 +621,10 @@ func (s *Server) execute(job *mapJob, cancel <-chan struct{}, forwarded bool) ma
 	out := mapOutcome{flightResult: res}
 	if res.err == nil {
 		if shared {
-			s.metrics.Coalesced()
+			s.metrics.ctr[ctrCoalesced].Add(1)
 			out.cacheState = "coalesced"
 		} else {
-			s.metrics.CacheMiss()
+			s.metrics.ctr[ctrCacheMisses].Add(1)
 			out.cacheState = "miss"
 		}
 	}
@@ -558,7 +643,7 @@ func (s *Server) proxyToOwner(job *mapJob, owner string) flightResult {
 	if err == nil {
 		switch {
 		case resp.Status == http.StatusOK:
-			s.metrics.Proxied()
+			s.metrics.ctr[ctrProxied].Add(1)
 			noStore := resp.Header.Get(noStoreHeader) != ""
 			if !noStore {
 				// Adopt the owner's result into both local tiers: the next
@@ -571,12 +656,12 @@ func (s *Server) proxyToOwner(job *mapJob, owner string) flightResult {
 			resp.Status != http.StatusServiceUnavailable:
 			// A deterministic 4xx: recomputing locally would refuse the
 			// request identically, so relay the owner's verdict.
-			s.metrics.Proxied()
+			s.metrics.ctr[ctrProxied].Add(1)
 			return flightResult{body: resp.Body, status: resp.Status, via: "proxied", noStore: true}
 		}
 		// 429 / 503 / 5xx: the owner is alive but cannot serve this now.
 	}
-	s.metrics.Fallback()
+	s.metrics.ctr[ctrFallbacks].Add(1)
 	res := s.runMapping(job)
 	res.via = "fallback-local"
 	return res
@@ -589,51 +674,23 @@ func (s *Server) cacheBody(key string, body []byte) {
 	s.cache.Add(key, body)
 	if st := s.cfg.Store; st != nil {
 		if err := st.Put(key, body); err != nil {
-			s.metrics.StoreWriteError()
+			s.metrics.ctr[ctrStoreWriteErrors].Add(1)
 		}
 	}
 }
 
-func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/map"
-	if r.Method != http.MethodPost {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.isDraining() {
-		s.fail(w, route, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	s.metrics.InflightAdd(1)
-	defer s.metrics.InflightAdd(-1)
-
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+func (s *Server) handleMap(w http.ResponseWriter, r *http.Request, body []byte) {
+	job, err := s.prepare(body)
 	if err != nil {
-		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)
+		failErr(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.prepare(raw)
-	if err != nil {
-		s.failErr(w, route, http.StatusBadRequest, err)
-		return
-	}
-
 	out := s.execute(job, r.Context().Done(), r.Header.Get(cluster.ForwardedHeader) != "")
-	switch {
-	case errors.Is(out.err, errCanceled):
-		// Client hung up while waiting on another request's run; nothing
-		// useful to write.
-		s.metrics.Request(route, http.StatusRequestTimeout)
-		return
-	case errors.Is(out.err, errBusy):
-		s.metrics.Rejected()
-		s.fail(w, route, http.StatusTooManyRequests, "mapping queue full, retry later")
-		return
-	case out.err != nil:
-		s.fail(w, route, out.status, "%v", out.err)
+	if out.err != nil {
+		status, eb := s.mapFailure(out)
+		writeJSON(w, status, eb)
 		return
 	}
-	s.metrics.Request(route, out.status)
 	w.Header().Set("Content-Type", "application/json")
 	if out.cacheState != "" {
 		w.Header().Set(cacheHeader, out.cacheState)
@@ -654,6 +711,29 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(out.status)
 	}
 	_, _ = w.Write(out.body) // client disconnect; any cacheable result is already cached
+}
+
+// mapFailure is the status and error body a mapping outcome other than a
+// 200 answers with, on /v1/map and as a batch item alike: a fixed text for
+// a canceled wait or a full queue, the error's text for a failed run, and
+// the owning peer's error for an answer relayed from it.
+func (s *Server) mapFailure(out mapOutcome) (int, errorBody) {
+	switch {
+	case errors.Is(out.err, errCanceled):
+		// The client hung up while waiting on another request's run.
+		return http.StatusRequestTimeout, errorBody{Error: "canceled while waiting"}
+	case errors.Is(out.err, errBusy):
+		s.metrics.ctr[ctrRejected].Add(1)
+		return http.StatusTooManyRequests, errorBody{Error: "mapping queue full, retry later"}
+	case out.err != nil:
+		return out.status, errorBody{Error: out.err.Error()}
+	}
+	// A relayed non-200 from the owning peer: its body is an errorBody.
+	var eb errorBody
+	if json.Unmarshal(out.body, &eb) != nil || eb.Error == "" {
+		eb = errorBody{Error: string(bytes.TrimSpace(out.body))}
+	}
+	return out.status, eb
 }
 
 // runMapping is the singleflight leader body: admit into the worker pool,
@@ -694,10 +774,7 @@ func (s *Server) runMapping(job *mapJob) flightResult {
 			Labels: s.reg,
 			Opts:   engine.Options{Map: mapOpts, ILP: ilpOpts},
 		})
-		s.metrics.Mapped(string(eng), err == nil && rr.OK, time.Since(start))
-		if err == nil && rr.DegradedRun() {
-			s.metrics.DegradedRun(string(eng))
-		}
+		s.metrics.Mapped(eng, err == nil && rr.OK, err == nil && rr.DegradedRun(), time.Since(start))
 		done <- outcome{rr, err}
 	})
 	if !admitted {
@@ -774,7 +851,7 @@ func (s *Server) requestDFG(job *mapJob) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.checkUnroll(req.Unroll); err != nil {
+		if err := checkUnroll(req.Unroll); err != nil {
 			return nil, err
 		}
 		job.kernel = k
@@ -787,7 +864,7 @@ func (s *Server) requestDFG(job *mapJob) ([]byte, error) {
 	if err := g.CheckSize(s.cfg.MaxDFGNodes, s.cfg.MaxDFGEdges); err != nil {
 		return nil, err
 	}
-	if err := s.checkUnroll(req.Unroll); err != nil {
+	if err := checkUnroll(req.Unroll); err != nil {
 		return nil, err
 	}
 	if req.Unroll > 1 {
@@ -800,11 +877,12 @@ func (s *Server) requestDFG(job *mapJob) ([]byte, error) {
 	return g.AppendCanonical(nil), nil
 }
 
-// checkUnroll enforces Config.MaxUnroll on a request's unroll factor.
-func (s *Server) checkUnroll(factor int) error {
-	if s.cfg.MaxUnroll > 0 && factor > s.cfg.MaxUnroll {
+// checkUnroll caps a request's unroll factor at kernels.MemoUnroll, so a
+// named kernel's canonical bytes always come from the kernels memo.
+func checkUnroll(factor int) error {
+	if factor > kernels.MemoUnroll {
 		return &dfg.DefectError{Kind: dfg.DefectTooLarge,
-			Msg: fmt.Sprintf("unroll factor %d exceeds the limit of %d", factor, s.cfg.MaxUnroll)}
+			Msg: fmt.Sprintf("unroll factor %d exceeds the limit of %d", factor, kernels.MemoUnroll)}
 	}
 	return nil
 }
@@ -861,8 +939,8 @@ type labelsItem struct {
 // half of the pipeline without the annealer, for clients that run their own
 // mapper or inspect what the model would steer it with.
 //
-// The body is read whole under the 4 MiB cap, as /v1/map's is, and
-// decodeLabelsRequest leaves each inline DFG as raw bytes for its task.
+// decodeLabelsRequest leaves each inline DFG of the body as raw bytes for
+// its task.
 // Each DFG runs its own pipeline — resolve or decode and size-check it,
 // generate its attributes, predict it with one fused Predict, encode its
 // row — and the DFGs fan out across cores (parallel.ForEach at GOMAXPROCS
@@ -872,38 +950,25 @@ type labelsItem struct {
 // DFG answers 400, checked before the model is resolved so a bad request
 // never starts training or gets a 503; then a missing model answers 503,
 // scale skew 500, and a row that cannot be encoded 500. A panicking task is
-// re-raised here, inside the handler's panic fence.
-func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/labels"
-	if r.Method != http.MethodPost {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.isDraining() {
-		s.fail(w, route, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req LabelsRequest
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err == nil {
-		req, err = decodeLabelsRequest(raw)
-	}
+// re-raised here, inside the front door's panic fence.
+func (s *Server) handleLabels(w http.ResponseWriter, _ *http.Request, body []byte) {
+	req, err := decodeLabelsRequest(body)
 	if err != nil {
-		s.fail(w, route, http.StatusBadRequest, "bad request body: %v", err)
+		fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	ar, ok := arch.ByName(req.Arch)
 	if !ok {
-		s.fail(w, route, http.StatusBadRequest, "unknown arch %q (have %v)", req.Arch, arch.Names())
+		fail(w, http.StatusBadRequest, "unknown arch %q (have %v)", req.Arch, arch.Names())
 		return
 	}
 	n := len(req.Kernels) + len(req.DFGs)
 	if n == 0 {
-		s.fail(w, route, http.StatusBadRequest, "at least one of \"kernels\" and \"dfgs\" must be non-empty")
+		fail(w, http.StatusBadRequest, "at least one of \"kernels\" and \"dfgs\" must be non-empty")
 		return
 	}
 	if n > maxLabelBatch {
-		s.fail(w, route, http.StatusBadRequest, "batch of %d DFGs exceeds the limit of %d", n, maxLabelBatch)
+		fail(w, http.StatusBadRequest, "batch of %d DFGs exceeds the limit of %d", n, maxLabelBatch)
 		return
 	}
 	workers := parallel.Workers(0)
@@ -913,7 +978,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 	})
 	for _, it := range items {
 		if it.err != nil {
-			s.failErr(w, route, http.StatusBadRequest, it.err)
+			failErr(w, http.StatusBadRequest, it.err)
 			return
 		}
 	}
@@ -921,7 +986,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 	// backpressure (503, retry after training/reload), not an internal error.
 	m, err := s.reg.ModelFor(ar)
 	if err != nil {
-		s.fail(w, route, http.StatusServiceUnavailable, "%v", err)
+		fail(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	parallel.ForEach(workers, n, func(i int) {
@@ -935,18 +1000,16 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		if it.err != nil {
 			// The only failure is scale-vector version skew — a broken model
 			// artifact, squarely a server-side error.
-			s.fail(w, route, http.StatusInternalServerError, "%v", it.err)
+			fail(w, http.StatusInternalServerError, "%v", it.err)
 			return
 		}
 	}
 	for _, it := range items {
 		if it.encErr != nil { // a NaN or ±Inf label, e.g. from a diverged model
-			s.metrics.Request(route, http.StatusInternalServerError)
 			http.Error(w, "encoding response: "+it.encErr.Error(), http.StatusInternalServerError)
 			return
 		}
 	}
-	s.metrics.Request(route, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(labelsBody(ar.Name(), items)) // a write error means the client hung up; nothing to do
 }
@@ -1038,12 +1101,7 @@ type ArchInfo struct {
 	FetchError string `json:"fetchError,omitempty"`
 }
 
-func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/archs"
-	if r.Method != http.MethodGet {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Server) handleArchs(w http.ResponseWriter, _ *http.Request, _ []byte) {
 	var out []ArchInfo
 	for _, name := range arch.Names() {
 		ar, _ := arch.ByName(name)
@@ -1064,7 +1122,6 @@ func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, info)
 	}
-	s.metrics.Request(route, http.StatusOK)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -1075,18 +1132,12 @@ type KernelInfo struct {
 	Edges int    `json:"edges"`
 }
 
-func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/kernels"
-	if r.Method != http.MethodGet {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Server) handleKernels(w http.ResponseWriter, _ *http.Request, _ []byte) {
 	var out []KernelInfo
 	for _, name := range kernels.Names() {
 		g := kernels.MustByName(name)
 		out = append(out, KernelInfo{Name: name, Nodes: g.NumNodes(), Edges: g.NumEdges()})
 	}
-	s.metrics.Request(route, http.StatusOK)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -1108,12 +1159,7 @@ type ReloadResponse struct {
 // (when configured) for files that appeared after startup. It is
 // deliberately the only way to spend a second training attempt on a failed
 // target — ordinary requests never retrain.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/reload"
-	if r.Method != http.MethodPost {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
+func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request, _ []byte) {
 	var resp ReloadResponse
 	for _, name := range arch.Names() {
 		if s.reg.Err(name) != nil && s.reg.Retry(name) {
@@ -1123,7 +1169,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if dir := s.cfg.ModelsDir; dir != "" {
 		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 		if err != nil {
-			s.fail(w, route, http.StatusInternalServerError, "%v", err)
+			fail(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		sort.Strings(files)
@@ -1139,7 +1185,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.metrics.Request(route, http.StatusOK)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1147,9 +1192,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // works. It answers 200 even while draining — a draining daemon is alive,
 // it just refuses new work, which is /readyz's distinction to make. Peers
 // probe this endpoint, so "alive but not ready" must not read as "dead".
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	const route = "/healthz"
-	s.metrics.Request(route, http.StatusOK)
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ []byte) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "alive"})
 }
 
@@ -1175,14 +1218,9 @@ type ReadyResponse struct {
 // node should be taken out of rotation (503). Unreachable peers are
 // reported but do not flip readiness — the cluster fallback path keeps a
 // lone survivor serving, so peer state is observability, not a gate.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	const route = "/readyz"
-	if r.Method != http.MethodGet {
-		s.fail(w, route, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request, _ []byte) {
 	resp := ReadyResponse{Ready: true, Models: s.reg.Ready()}
-	if s.isDraining() {
+	if s.draining.Load() {
 		resp.Draining = true
 		resp.Ready = false
 	}
@@ -1206,7 +1244,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	s.metrics.Request(route, status)
 	writeJSON(w, status, resp)
 }
 
@@ -1220,24 +1257,28 @@ func peerSnapshots(cl *cluster.Cluster) []PeerSnapshot {
 	return out
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	const route = "/metrics"
-	s.metrics.Request(route, http.StatusOK)
-	snap := s.metrics.Snapshot(time.Now(), s.cache.Len(), s.cache.Bytes())
+// handleMetrics serves the counters as JSON. The request reading them is
+// not among them: the front door counts it once its answer is sent.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, _ []byte) {
+	m := s.metrics
+	snap := m.Snapshot(time.Now(), s.cache.Len(), s.cache.Bytes())
 	if st := s.cfg.Store; st != nil {
-		ss := s.metrics.storeSnapshot()
-		ss.Entries = st.Len()
-		ss.Bytes = st.Bytes()
-		ss.Dropped = st.Dropped()
-		ss.Generation = st.Generation()
-		snap.Store = &ss
+		snap.Store = &StoreSnapshot{
+			Hits:        m.ctr[ctrStoreHits].Load(),
+			Misses:      m.ctr[ctrStoreMisses].Load(),
+			ReadErrors:  m.ctr[ctrStoreReadErrors].Load(),
+			WriteErrors: m.ctr[ctrStoreWriteErrors].Load(),
+			Entries:     st.Len(),
+			Bytes:       st.Bytes(),
+			Dropped:     st.Dropped(),
+			Generation:  st.Generation(),
+		}
 	}
 	if cl := s.cfg.Cluster; cl != nil {
-		proxied, fallbacks := s.metrics.clusterCounters()
 		snap.Cluster = &ClusterSnapshot{
 			Self:      cl.Self(),
-			Proxied:   proxied,
-			Fallbacks: fallbacks,
+			Proxied:   m.ctr[ctrProxied].Load(),
+			Fallbacks: m.ctr[ctrFallbacks].Load(),
 			Peers:     peerSnapshots(cl),
 		}
 	}

@@ -22,7 +22,7 @@ import (
 
 // testServer builds a server whose registry has a pre-seeded (untrained)
 // model per CGRA so label engines never fall into minutes of training.
-func testServer(t *testing.T, cfg Config) *Server {
+func testServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	reg := registry.New(registry.Config{TrainOnDemand: false})
 	for _, name := range arch.Names() {
