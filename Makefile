@@ -51,7 +51,8 @@ fuzz:
 	go test -fuzz FuzzParseDOT -fuzztime 30s ./internal/dfg/
 	go test -fuzz FuzzReadJSON -fuzztime 30s ./internal/dfg/
 	go test -run '^$$' -fuzz FuzzLabelsRequest -fuzztime 30s ./internal/service/
-	go test -run '^$$' -fuzz FuzzMapRequest -fuzztime 30s ./internal/service/
+	go test -run '^$$' -fuzz '^FuzzMapRequestSplit$$' -fuzztime 30s ./internal/service/
+	go test -run '^$$' -fuzz '^FuzzMapRequest$$' -fuzztime 30s ./internal/service/
 	go test -fuzz FuzzParseSpec -fuzztime 30s ./internal/arch/
 
 clean:

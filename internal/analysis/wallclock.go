@@ -36,8 +36,8 @@ var wallclockAllowed = map[string][]string{
 		"pickWinner", // portfolio Result.Duration measurement
 	},
 	"internal/ilp": {
-		"Map",     // Result.Duration measurement
-		"mapAtII", // per-II solver deadline
+		"Map",     // start time for the sweep's time limit + Result.Duration
+		"mapAtII", // per-II solver deadline + the sweep's deadline checks
 		"Solve",   // solver TimeLimit deadline
 		"timeUp",  // deadline check in the search loop
 	},

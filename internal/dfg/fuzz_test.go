@@ -45,6 +45,8 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"name":"x","nodes":[],"edges":[]}`)
 	f.Add(`{`)
 	f.Add(`{"name":"x","nodes":[{"name":"a","op":"add"}],"edges":[[0,0]]}`)
+	f.Add(`{"name":"x","nodes":[{"name":"a","op":"add"}],"edges":[[-1,0]]}`)
+	f.Add(`{"name":"x","nodes":[{"name":"a","op":"add"}],"edges":[[0,9223372036854775808]]}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ReadJSON(strings.NewReader(src))
 		if err == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"github.com/lisa-go/lisa/internal/strictjson"
@@ -72,7 +73,7 @@ func badJSON(err error) error {
 // whitespace after it: name a plain string (printable ASCII, no escapes),
 // nodes an array of objects with at most one each of the plain-string
 // members "name" and "op", edges an array of two-element arrays of
-// unsigned decimal integers. ok is false for anything else.
+// decimal integers that fit an int. ok is false for anything else.
 func decodeStrict(src string) (jsonGraph, bool) {
 	var jg jsonGraph
 	s := strictjson.New(src)
@@ -155,18 +156,19 @@ func strictEdges(s *strictjson.Scanner) ([][2]int, bool) {
 		if done {
 			return edges, true
 		}
-		from, ok1 := 0, s.Next('[')
+		var from, to int64
+		ok1 := s.Next('[')
 		if ok1 {
-			from, ok1 = s.Uint()
+			from, ok1 = s.Int(strconv.IntSize)
 		}
-		to, ok2 := 0, ok1 && s.Next(',')
+		ok2 := ok1 && s.Next(',')
 		if ok2 {
-			to, ok2 = s.Uint()
+			to, ok2 = s.Int(strconv.IntSize)
 		}
 		if !ok2 || !s.Next(']') {
 			return nil, false
 		}
-		edges = append(edges, [2]int{from, to})
+		edges = append(edges, [2]int{int(from), int(to)})
 	}
 }
 

@@ -66,7 +66,8 @@ func (n Name) UsesLabels() bool {
 }
 
 // Options carries the budgets for both engine families; only the half
-// matching the selected engine is consulted.
+// matching the selected engine is consulted, except Map.TimeLimit, the
+// run's deadline, which also bounds the ILP sweep as a whole.
 type Options struct {
 	Map mapper.Options // SA-family and greedy budgets
 	ILP ilp.Options    // exact-mapper limits
@@ -80,7 +81,7 @@ type Options struct {
 func Map(ar arch.Arch, g *dfg.Graph, eng Name, lbl *labels.Labels, opts Options) (mapper.Result, error) {
 	switch eng {
 	case ILP:
-		return ilp.Map(ar, g, opts.ILP), nil
+		return ilp.Map(ar, g, opts.ILP, opts.Map.TimeLimit), nil
 	case Greedy:
 		return mapper.MapGreedy(ar, g, opts.Map), nil
 	case LISA, SA, SARP, SAM, Partial:

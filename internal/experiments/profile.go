@@ -156,7 +156,7 @@ const (
 func (c *Context) Run(ar arch.Arch, g *dfg.Graph, m Method) mapper.Result {
 	switch m {
 	case MethodILP:
-		return ilp.Map(ar, g, c.Profile.ILPOpts)
+		return ilp.Map(ar, g, c.Profile.ILPOpts, 0)
 	case MethodGreedy:
 		return mapper.MapGreedy(ar, g, c.Profile.MapOpts)
 	case MethodLISA:

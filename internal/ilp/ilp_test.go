@@ -102,10 +102,23 @@ func TestSolverTimeout(t *testing.T) {
 	}
 }
 
+// TestSolverDeadlineStopsAtFirstNode: a Deadline already past stops the
+// search at its first node, before it finds the solution it finds without.
+func TestSolverDeadlineStopsAtFirstNode(t *testing.T) {
+	m := &Model{NumVars: 2}
+	m.AddExactlyOne([]int{0, 1})
+	if _, st := (&Solver{}).Solve(m); st != StatusOptimal {
+		t.Fatalf("without a deadline: status = %v, want optimal", st)
+	}
+	if _, st := (&Solver{Deadline: time.Now().Add(-time.Second)}).Solve(m); st != StatusTimeout {
+		t.Fatalf("past its deadline: status = %v, want timeout", st)
+	}
+}
+
 func TestILPMapsSmallKernel(t *testing.T) {
 	ar := arch.NewBaseline4x4()
 	g := kernels.MustByName("doitgen")
-	res := Map(ar, g, Options{TimeLimitPerII: 4 * time.Second})
+	res := Map(ar, g, Options{TimeLimitPerII: 4 * time.Second}, 0)
 	if !res.OK {
 		t.Fatal("ILP failed on doitgen / 4x4")
 	}
@@ -120,7 +133,7 @@ func TestILPMapsSmallKernel(t *testing.T) {
 func TestILPFailsOnOversizedFormulation(t *testing.T) {
 	ar := arch.NewBaseline8x8()
 	g, _ := kernels.Unrolled("2mm")
-	res := Map(ar, g, Options{TimeLimitPerII: time.Second, MaxVars: 500})
+	res := Map(ar, g, Options{TimeLimitPerII: time.Second, MaxVars: 500}, 0)
 	if res.OK {
 		t.Fatal("expected scale failure with tiny MaxVars")
 	}
@@ -132,7 +145,7 @@ func TestILPFailsOnOversizedFormulation(t *testing.T) {
 func TestILPRejectsUnsupportedOps(t *testing.T) {
 	ar := arch.NewSystolic5x5()
 	g := kernels.MustByName("trmm")
-	res := Map(ar, g, Options{TimeLimitPerII: time.Second})
+	res := Map(ar, g, Options{TimeLimitPerII: time.Second}, 0)
 	if res.OK {
 		t.Fatal("trmm must be unmappable on systolic for ILP too")
 	}
@@ -143,7 +156,7 @@ func TestILPWithinBudgetComparableToLISA(t *testing.T) {
 	// (it is exact given time; LISA is a heuristic).
 	ar := arch.NewBaseline4x4()
 	g := kernels.MustByName("syrk")
-	ilpRes := Map(ar, g, Options{TimeLimitPerII: 4 * time.Second})
+	ilpRes := Map(ar, g, Options{TimeLimitPerII: 4 * time.Second}, 0)
 	lisaRes, err := mapper.Map(ar, g, mapper.AlgLISA, nil, mapper.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,12 @@ type slotVar struct {
 // of the integer solution on the real resource graph, and adds no-good cuts
 // for unroutable placements until the solution routes, the cut budget is
 // exhausted, or the time limit fires.
-func Map(ar arch.Arch, g *dfg.Graph, opts Options) mapper.Result {
+//
+// timeLimit, when positive, bounds the whole sweep, as mapper.Options'
+// TimeLimit bounds the annealer's: no II starts after it, the model build
+// and every solve stop at it, and a sweep it leaves without a mapping
+// reports DeadlineExceeded.
+func Map(ar arch.Arch, g *dfg.Graph, opts Options, timeLimit time.Duration) mapper.Result {
 	if opts.TimeLimitPerII == 0 {
 		opts.TimeLimitPerII = DefaultOptions().TimeLimitPerII
 	}
@@ -61,20 +66,32 @@ func Map(ar arch.Arch, g *dfg.Graph, opts Options) mapper.Result {
 	if opts.MaxII > 0 && opts.MaxII < maxII {
 		maxII = opts.MaxII
 	}
+	var deadline time.Time // zero: the sweep has no time limit
+	if timeLimit > 0 {
+		deadline = start.Add(timeLimit)
+	}
 	for ii := ar.MinII(g); ii <= maxII; ii++ {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			break
+		}
 		res.TriedIIs = append(res.TriedIIs, ii)
-		if ok := mapAtII(ar, g, an, ii, opts, &res); ok {
+		if ok := mapAtII(ar, g, an, ii, opts, deadline, &res); ok {
 			res.OK = true
 			res.II = ii
 			break
 		}
 	}
 	res.Duration = time.Since(start)
+	res.DeadlineExceeded = !res.OK && timeLimit > 0 && res.Duration >= timeLimit
 	return res
 }
 
+// mapAtII formulates and solves one II. Its solves stop TimeLimitPerII
+// after the formulation; deadline (the sweep's, zero for none) stops the
+// formulation and the solves, whichever is under way.
 func mapAtII(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, ii int,
-	opts Options, res *mapper.Result) bool {
+	opts Options, deadline time.Time, res *mapper.Result) bool {
+	late := func() bool { return !deadline.IsZero() && !time.Now().Before(deadline) }
 
 	diameter := 0
 	for pe := 0; pe < ar.NumPEs(); pe++ {
@@ -90,6 +107,9 @@ func mapAtII(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, ii int,
 	varID := map[[3]int]int{}
 	nodeVars := make([][]int, g.NumNodes())
 	for v := range g.Nodes {
+		if late() {
+			return false
+		}
 		op := g.Nodes[v].Op
 		for t := an.ASAP[v]; t <= an.ASAP[v]+window && t < schedLen; t++ {
 			for pe := 0; pe < ar.NumPEs(); pe++ {
@@ -158,6 +178,9 @@ func mapAtII(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, ii int,
 		return dt >= 1 && ar.SpatialDistance(su.pe, sv.pe) <= dt
 	}
 	for _, e := range g.Edges {
+		if late() {
+			return false
+		}
 		for _, uID := range nodeVars[e.From] {
 			terms := []Term{{Var: uID, Coef: 1}}
 			for _, vID := range nodeVars[e.To] {
@@ -183,13 +206,13 @@ func mapAtII(ar arch.Arch, g *dfg.Graph, an *dfg.Analysis, ii int,
 		m.Objective = append(m.Objective, Term{Var: id, Coef: sv.t})
 	}
 
-	deadline := time.Now().Add(opts.TimeLimitPerII)
+	end := time.Now().Add(opts.TimeLimitPerII)
 	for round := 0; round < opts.MaxCutRounds; round++ {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+		remaining := time.Until(end)
+		if remaining <= 0 || late() {
 			return false
 		}
-		solver := &Solver{TimeLimit: remaining, MaxNodes: opts.MaxNodes}
+		solver := &Solver{TimeLimit: remaining, Deadline: deadline, MaxNodes: opts.MaxNodes}
 		sol, status := solver.Solve(m)
 		if status == StatusInfeasible || status == StatusTimeout {
 			return false

@@ -97,8 +97,11 @@ type Solution struct {
 
 // Solver carries search limits.
 type Solver struct {
-	TimeLimit time.Duration // zero means unlimited
-	MaxNodes  int           // zero means unlimited
+	TimeLimit time.Duration // zero means unlimited; polled every 256 nodes
+	// Deadline, when set, also stops the search. It is polled at every
+	// node, so one node's propagation is all a search runs past it.
+	Deadline time.Time
+	MaxNodes int // zero means unlimited
 }
 
 type searchCtx struct {
@@ -110,6 +113,7 @@ type searchCtx struct {
 	bestObj  int
 	deadline time.Time
 	hasLimit bool
+	stopAt   time.Time // Solver.Deadline
 	nodes    int
 	maxNodes int
 	aborted  bool
@@ -126,6 +130,7 @@ func (s *Solver) Solve(m *Model) (Solution, Status) {
 		objCoef:  make([]int, m.NumVars),
 		bestObj:  1 << 60,
 		maxNodes: s.MaxNodes,
+		stopAt:   s.Deadline,
 	}
 	for i := range ctx.assign {
 		ctx.assign[i] = -1
@@ -166,7 +171,8 @@ func (c *searchCtx) timeUp() bool {
 		c.aborted = true
 		return true
 	}
-	if c.hasLimit && c.nodes%256 == 0 && time.Now().After(c.deadline) {
+	if c.hasLimit && c.nodes%256 == 0 && time.Now().After(c.deadline) ||
+		!c.stopAt.IsZero() && time.Now().After(c.stopAt) {
 		c.aborted = true
 		return true
 	}

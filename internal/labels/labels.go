@@ -259,6 +259,34 @@ func (f FilterConfig) Admit(achievedII, minII, n int) (score float64, ok bool) {
 	return score, score >= f.MinScore
 }
 
+// CheckFinite reports the first label that is NaN or ±Inf: order, then
+// spatial, then temporal by index, then the least same-level pair.
+func (l *Labels) CheckFinite() error {
+	for _, set := range []struct {
+		name string
+		vals []float64
+	}{{"order", l.Order}, {"spatial", l.Spatial}, {"temporal", l.Temporal}} {
+		for i, v := range set.vals {
+			if !finite(v) {
+				return fmt.Errorf("labels: %s[%d] = %v is not finite", set.name, i, v)
+			}
+		}
+	}
+	bad, found := Pair{}, false
+	//lisa:vet-ok maprange keeps the least non-finite pair, so the order cannot change the error
+	for p, v := range l.SameLevel {
+		if !finite(v) && (!found || p.A < bad.A || p.A == bad.A && p.B < bad.B) {
+			bad, found = p, true
+		}
+	}
+	if found {
+		return fmt.Errorf("labels: sameLevel[%d,%d] = %v is not finite", bad.A, bad.B, l.SameLevel[bad])
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Validate sanity-checks a label set against its DFG.
 func (l *Labels) Validate(g *dfg.Graph) error {
 	if len(l.Order) != g.NumNodes() {

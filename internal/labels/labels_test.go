@@ -1,6 +1,7 @@
 package labels
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -179,5 +180,42 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 	l.Order = l.Order[:1]
 	if l.Validate(g) == nil {
 		t.Fatal("short Order must fail validation")
+	}
+}
+
+// TestCheckFinite: finite labels pass, and the first NaN or ±Inf label is
+// named in a fixed order whatever the map's iteration order.
+func TestCheckFinite(t *testing.T) {
+	g := diamondGraph()
+	fresh := func() *Labels {
+		l := Initial(dfg.Analyze(g))
+		l.SameLevel[MakePair(1, 2)] = 1
+		l.SameLevel[MakePair(0, 3)] = 2
+		l.SameLevel[MakePair(1, 3)] = 3
+		return l
+	}
+	if err := fresh().CheckFinite(); err != nil {
+		t.Fatalf("finite labels: %v", err)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		poison func(*Labels)
+		want   string
+	}{
+		{func(l *Labels) { l.Order[2] = nan; l.Temporal[0] = inf }, "labels: order[2] = NaN is not finite"},
+		{func(l *Labels) { l.Spatial[1] = -inf }, "labels: spatial[1] = -Inf is not finite"},
+		{func(l *Labels) { l.Temporal[3] = inf }, "labels: temporal[3] = +Inf is not finite"},
+		{func(l *Labels) {
+			l.SameLevel[MakePair(1, 3)] = nan
+			l.SameLevel[MakePair(1, 2)] = inf
+		}, "labels: sameLevel[1,2] = +Inf is not finite"},
+	} {
+		for i := 0; i < 8; i++ { // map order varies between iterations
+			l := fresh()
+			c.poison(l)
+			if err := l.CheckFinite(); err == nil || err.Error() != c.want {
+				t.Fatalf("CheckFinite = %v, want %q", err, c.want)
+			}
+		}
 	}
 }

@@ -501,13 +501,22 @@ func (r *Registry) train(ar arch.Arch) (m *gnn.Model, err error) {
 // LabelsFor predicts the four mapper labels for g using ar's model; it is
 // the engine.LabelSource the daemon and CLIs hand to engine.Run, so a
 // training failure surfaces there as the ladder's labels-unavailable rung
-// rather than an aborted request.
+// rather than an aborted request. So does a prediction with a NaN or ±Inf
+// label, which a finite model can still overflow to: annealing on it would
+// serve a mapping the labels did not steer.
 func (r *Registry) LabelsFor(ar arch.Arch, g *dfg.Graph) (*labels.Labels, error) {
 	m, err := r.ModelFor(ar)
 	if err != nil {
 		return nil, err
 	}
-	return m.Predict(attr.Generate(g))
+	l, err := m.Predict(attr.Generate(g))
+	if err != nil {
+		return nil, err
+	}
+	if err := l.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("registry: %s model: %w", ar.Name(), err)
+	}
+	return l, nil
 }
 
 // String summarizes the registry for logs.

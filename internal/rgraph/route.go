@@ -218,18 +218,13 @@ func (r *Router) Route(occ *Occupancy, sig Signal, src, dst, hops int) (path []i
 	return nil, 0, false
 }
 
-// ShortestHops returns the minimum hop count of any admissible path from src
-// to dst for sig (ignoring the exact-length constraint), or -1 if dst is
-// unreachable within MaxHops. Like Route it reuses the router's scratch
-// arrays; dst counts as reachable on the hop that touches it even when dst
-// itself is at capacity (the consumer op owns that FU).
-func (r *Router) ShortestHops(occ *Occupancy, sig Signal, src, dst int) int {
-	return r.reach(occ, sig, src, dst, r.MaxHops, r.column(dst))
-}
-
-// reach is ShortestHops with a depth bound: the minimum hop count if it is
-// at most limit, else -1. A node that cannot lie on a path of at most limit
-// hops by col is not enqueued; a shortest path never loses a node that way.
+// reach returns the minimum hop count of any admissible path from src to
+// dst for sig (ignoring the exact-length constraint) if it is at most
+// limit, else -1. Like Route it reuses the router's scratch arrays; dst
+// counts as reachable on the hop that touches it even when dst itself is at
+// capacity (the consumer op owns that FU). A node that cannot lie on a path
+// of at most limit hops by col is not enqueued; a shortest path never loses
+// a node that way.
 func (r *Router) reach(occ *Occupancy, sig Signal, src, dst, limit int, col []uint8) int {
 	r.epoch++
 	epoch := r.epoch

@@ -129,6 +129,15 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 }
 
+// ShortestHops returns the minimum hop count of any admissible path from src
+// to dst for sig (ignoring the exact-length constraint), or -1 if dst is
+// unreachable within MaxHops: reach without a tighter depth bound. No binary
+// queries it; tests compare it against the oracle router's breadth-first
+// search.
+func (r *Router) ShortestHops(occ *Occupancy, sig Signal, src, dst int) int {
+	return r.reach(occ, sig, src, dst, r.MaxHops, r.column(dst))
+}
+
 // TestShortestHopsDstFirstHop: the consumer's FU counts as reachable on the
 // hop that touches it even when the FU itself is at capacity — the consumer
 // op owns that slot. The dst check must therefore fire before the CanEnter

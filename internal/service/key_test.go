@@ -271,8 +271,10 @@ func TestMapNamedKernelErrorsUnchanged(t *testing.T) {
 }
 
 // maxHitAllocs bounds the allocations of one L1 hit through the handler,
-// beyond what the test harness itself allocates.
-const maxHitAllocs = 40
+// beyond what the test harness itself allocates. The count was 15 on Go
+// 1.24.0/amd64 and is unmeasured on go.mod's Go 1.22; net/http's and io's
+// allocations change between releases, so the bound keeps five in hand.
+const maxHitAllocs = 20
 
 // An L1 hit for a named kernel builds no graph and uses no fmt: it must
 // stay within maxHitAllocs.

@@ -488,18 +488,7 @@ func TestLabelsBodySpliceMatchesMarshal(t *testing.T) {
 // finite and overflows: huge temporal weights carry every edge's label to
 // +Inf.
 func TestLabelsEncodeFailureCounts500(t *testing.T) {
-	m := gnn.NewModel(rand.New(rand.NewSource(1)), "cgra-4x4")
-	for _, w := range [][]float64{m.Temporal.W1.Data, m.Temporal.W2.Data} {
-		for i := range w {
-			w[i] = math.MaxFloat64
-		}
-	}
-	reg := registry.New(registry.Config{TrainOnDemand: false})
-	if !reg.Put(m) {
-		t.Fatal("Put refused a finite model")
-	}
-	s := New(Config{}, reg)
-	defer s.Close()
+	s := overflowingServer(t)
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(procs, func() {
 			w := postLabels(t, s.Handler(), `{"arch":"cgra-4x4","kernels":["gemm","atax","mvt"]}`)
@@ -519,6 +508,47 @@ func TestLabelsEncodeFailureCounts500(t *testing.T) {
 	// The /metrics request itself is counted only once its answer is sent.
 	if snap.Requests["/v1/labels"] != 2 || snap.Status["500"] != 2 || snap.Status["200"] != 0 {
 		t.Fatalf("/metrics counts requests %v, statuses %v; want two /v1/labels 500s and no 200", snap.Requests, snap.Status)
+	}
+}
+
+// overflowingServer serves a finite cgra-4x4 model whose temporal weights
+// are all math.MaxFloat64, so every edge's temporal label overflows to +Inf.
+func overflowingServer(t *testing.T) *Server {
+	t.Helper()
+	m := gnn.NewModel(rand.New(rand.NewSource(1)), "cgra-4x4")
+	for _, w := range [][]float64{m.Temporal.W1.Data, m.Temporal.W2.Data} {
+		for i := range w {
+			w[i] = math.MaxFloat64
+		}
+	}
+	reg := registry.New(registry.Config{TrainOnDemand: false})
+	if !reg.Put(m) {
+		t.Fatal("Put refused a finite model")
+	}
+	s := New(Config{}, reg)
+	t.Cleanup(s.Close)
+	return s
+}
+
+// TestInfiniteLabelsNeverServedOnMap: a finite model whose labels overflow
+// to +Inf is not annealed on. /v1/map with engine lisa degrades to sa and
+// marks the body uncacheable, so the next identical request is no L1 hit.
+func TestInfiniteLabelsNeverServedOnMap(t *testing.T) {
+	h := overflowingServer(t).Handler()
+	for i := 0; i < 2; i++ {
+		w := postMap(t, h, `{"kernel":"gemm","arch":"cgra-4x4","engine":"lisa","seed":3}`)
+		if w.Code != http.StatusOK || w.Header().Get(noStoreHeader) != "1" || w.Header().Get(cacheHeader) != "miss" {
+			t.Fatalf("request %d: status %d, %s %q, %s %q; want a degraded 200 miss marked no-store: %s", i, w.Code,
+				noStoreHeader, w.Header().Get(noStoreHeader), cacheHeader, w.Header().Get(cacheHeader), w.Body)
+		}
+		var resp MapResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		const want = "lisa\u2192sa: labels unavailable: registry: cgra-4x4 model: labels: temporal[0] = +Inf is not finite"
+		if resp.EngineUsed != "sa" || len(resp.Result.Degraded) != 1 || resp.Result.Degraded[0] != want {
+			t.Fatalf("request %d: engineUsed %q, degraded %q; want sa and %q", i, resp.EngineUsed, resp.Result.Degraded, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/lisa-go/lisa/internal/fault"
 	"github.com/lisa-go/lisa/internal/gnn"
@@ -118,6 +119,42 @@ func TestMapExpiredDeadlineIsLabeledAndUncached(t *testing.T) {
 	}
 	if w2 := postMap(t, h, body); w2.Header().Get("X-Lisa-Cache") == "hit" {
 		t.Fatal("deadline-curtailed response was served from the cache")
+	}
+}
+
+// An ILP request stops at its deadline: no II starts after it and every
+// solve stops at it, so the answer comes back promptly, flagged
+// deadlineExceeded, marked no-store and never cached. An ILP sweep once
+// spent the full per-II budget on every II and answered this request after
+// about 1.4 s, mapped at II 10 and cached.
+func TestILPDeadlineIsKeptAndUncached(t *testing.T) {
+	s := testServer(t, Config{})
+	h := s.Handler()
+	body := `{"kernel":"mvt","arch":"cgra-3x3","engine":"ilp","deadlineMs":1}`
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		w := postMap(t, h, body)
+		elapsed := time.Since(start)
+		if w.Code != http.StatusOK || w.Header().Get(noStoreHeader) != "1" || w.Header().Get(cacheHeader) != "miss" {
+			t.Fatalf("request %d: status %d, %s %q, %s %q; want a 200 miss marked no-store: %s", i, w.Code,
+				noStoreHeader, w.Header().Get(noStoreHeader), cacheHeader, w.Header().Get(cacheHeader), w.Body)
+		}
+		var resp MapResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.OK || !resp.Result.DeadlineExceeded || len(resp.Result.Degraded) != 0 {
+			t.Fatalf("request %d: result %+v; want no mapping, deadlineExceeded, no degraded chain", i, resp.Result)
+		}
+		// At 1 ms no solve starts: the first II's model build stops at the
+		// first node or edge it reaches past the deadline. The bound leaves
+		// room for the race detector.
+		if elapsed > time.Second {
+			t.Fatalf("request %d answered after %v, want well under 1s", i, elapsed)
+		}
+	}
+	if got := s.cache.Len(); got != 0 {
+		t.Fatalf("cache has %d entries after deadline-cut ILP answers, want 0", got)
 	}
 }
 

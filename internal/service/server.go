@@ -464,21 +464,6 @@ func errBody(err error) errorBody {
 	return body
 }
 
-// decodeStrict decodes body, one JSON value with nothing after it but JSON
-// whitespace, into v with unknown fields disallowed. Every rejection but
-// "data after the JSON value" is encoding/json's own.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
-		return errors.New("data after the JSON value")
-	}
-	return nil
-}
-
 // mapJob is one fully validated mapping request: everything execute needs,
 // plus the exact request bytes so a proxy hop replays the request verbatim.
 // Exactly one of kernel and g is set; graph turns either into the DFG a
@@ -518,10 +503,11 @@ type mapOutcome struct {
 // Every error is a client error (HTTP 400). A named kernel's key comes from
 // its memoized canonical bytes, so prepare builds no graph for it.
 func (s *Server) prepare(raw []byte) (*mapJob, error) {
-	job := &mapJob{raw: raw}
-	if err := decodeStrict(raw, &job.req); err != nil {
+	req, err := decodeRequest(raw, splitMapRequest)
+	if err != nil {
 		return nil, fmt.Errorf("bad request body: %v", err)
 	}
+	job := &mapJob{req: req, raw: raw}
 
 	ar, ok := arch.ByName(job.req.Arch)
 	if !ok {
@@ -530,7 +516,6 @@ func (s *Server) prepare(raw []byte) (*mapJob, error) {
 	job.ar = ar
 	job.eng = engine.Name("lisa")
 	if job.req.Engine != "" {
-		var err error
 		job.eng, err = engine.Parse(job.req.Engine)
 		if err != nil {
 			return nil, err
@@ -742,10 +727,6 @@ func (s *Server) mapFailure(out mapOutcome) (int, errorBody) {
 // result even if the leading client disconnects.
 func (s *Server) runMapping(job *mapJob) flightResult {
 	key, ar, g, eng, mapOpts := job.key, job.ar, job.graph(), job.eng, job.mapOpts
-	ilpOpts := s.cfg.ILPOpts
-	if eng == engine.ILP && mapOpts.TimeLimit > 0 && (ilpOpts.TimeLimitPerII <= 0 || ilpOpts.TimeLimitPerII > mapOpts.TimeLimit) {
-		ilpOpts.TimeLimitPerII = mapOpts.TimeLimit
-	}
 
 	if err := fault.Inject(fault.PoolSubmit, fault.Token(key)); err != nil {
 		// An injected admission failure is backpressure, same as a full
@@ -772,7 +753,7 @@ func (s *Server) runMapping(job *mapJob) flightResult {
 		rr, err := engine.Run(ar, g, engine.Request{
 			Engine: eng,
 			Labels: s.reg,
-			Opts:   engine.Options{Map: mapOpts, ILP: ilpOpts},
+			Opts:   engine.Options{Map: mapOpts, ILP: s.cfg.ILPOpts},
 		})
 		s.metrics.Mapped(eng, err == nil && rr.OK, err == nil && rr.DegradedRun(), time.Since(start))
 		done <- outcome{rr, err}
@@ -939,8 +920,8 @@ type labelsItem struct {
 // half of the pipeline without the annealer, for clients that run their own
 // mapper or inspect what the model would steer it with.
 //
-// decodeLabelsRequest leaves each inline DFG of the body as raw bytes for
-// its task.
+// The request split leaves each inline DFG of the body as raw bytes for its
+// task.
 // Each DFG runs its own pipeline — resolve or decode and size-check it,
 // generate its attributes, predict it with one fused Predict, encode its
 // row — and the DFGs fan out across cores (parallel.ForEach at GOMAXPROCS
@@ -952,7 +933,7 @@ type labelsItem struct {
 // scale skew 500, and a row that cannot be encoded 500. A panicking task is
 // re-raised here, inside the front door's panic fence.
 func (s *Server) handleLabels(w http.ResponseWriter, _ *http.Request, body []byte) {
-	req, err := decodeLabelsRequest(body)
+	req, err := decodeRequest(body, splitLabelsRequest)
 	if err != nil {
 		fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return

@@ -11,6 +11,8 @@
 // the source, so a decoded name costs no allocation.
 package strictjson
 
+import "strconv"
+
 // maxDepth bounds the nesting Value walks before it declines. It is far
 // below encoding/json's own limit (10000), so everything deeper is left to
 // encoding/json, which reports it.
@@ -102,18 +104,41 @@ func (s *Scanner) Elem(first bool) (done, ok bool) {
 	return false, first || s.Next(',')
 }
 
-// Uint consumes an unsigned decimal integer of at most nine digits, so it
-// fits an int on every platform; encoding/json decodes it to the same
-// value.
-func (s *Scanner) Uint() (int, bool) {
+// Int consumes a decimal integer, -?(0|[1-9][0-9]*), that fits a signed
+// integer of the given bit size, 32 or 64; encoding/json decodes it to the
+// same value in an integer field of that size, and rejects every other
+// number there.
+func (s *Scanner) Int(bitSize int) (int64, bool) {
 	s.space()
-	start, v := s.pos, 0
-	for s.pos < len(s.src) && s.src[s.pos] >= '0' && s.src[s.pos] <= '9' {
-		v = v*10 + int(s.src[s.pos]-'0')
+	start := s.pos
+	if s.pos < len(s.src) && s.src[s.pos] == '-' {
 		s.pos++
 	}
-	n := s.pos - start
-	return v, n > 0 && n <= 9 && (n == 1 || s.src[start] != '0')
+	first := s.pos
+	if !s.digits() || s.src[first] == '0' && s.pos-first > 1 {
+		return 0, false
+	}
+	if s.pos-first > 9 { // nine digits fit 32 bits; more may not fit bitSize
+		v, err := strconv.ParseInt(s.src[start:s.pos], 10, bitSize)
+		return v, err == nil
+	}
+	var v int64
+	for i := first; i < s.pos; i++ {
+		v = v*10 + int64(s.src[i]-'0')
+	}
+	if first > start {
+		v = -v
+	}
+	return v, true
+}
+
+// Bool consumes true or false.
+func (s *Scanner) Bool() (v, ok bool) {
+	s.space()
+	if s.literal("true") {
+		return true, true
+	}
+	return false, s.literal("false")
 }
 
 // Value consumes one JSON value of any kind, checking its syntax as

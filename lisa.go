@@ -206,7 +206,7 @@ func (f *Framework) MapBaseline(g *Graph) (Result, error) {
 
 // MapExact runs the ILP (branch-and-bound) baseline.
 func (f *Framework) MapExact(g *Graph, opts ilp.Options) Result {
-	return ilp.Map(f.Arch, g, opts)
+	return ilp.Map(f.Arch, g, opts, 0)
 }
 
 // Verify independently checks that a successful Result is a legal mapping.
