@@ -1,14 +1,13 @@
-// Package arch models the spatial accelerators the paper evaluates: a
-// parametric 2-D mesh CGRA (the four baseline/variant CGRAs of §VI) and the
-// 5×5 systolic array with Revel-like fixed-function compute units. Each
-// architecture knows how to build its time-extended routing resource graph
-// for a target II; everything else (mapping, labels, GNN) is
-// architecture-agnostic, which is the point of a portable compiler.
+// Package arch models the spatial accelerators the paper evaluates: 2-D mesh
+// CGRAs, each compiled from a Spec (the five CGRAs of §VI and the torus and
+// heterogeneous variants), and the 5×5 systolic array with Revel-like
+// fixed-function compute units. Each architecture knows how to build its
+// time-extended routing resource graph for a target II; everything else
+// (mapping, labels, GNN) is architecture-agnostic, which is the point of a
+// portable compiler.
 package arch
 
 import (
-	"fmt"
-
 	"github.com/lisa-go/lisa/internal/dfg"
 	"github.com/lisa-go/lisa/internal/rgraph"
 )
@@ -30,7 +29,8 @@ type Arch interface {
 	// supports (24 entries for the CGRAs; 1 for the systolic array).
 	MaxII() int
 	// MinII is the resource-minimal II for the DFG (paper §V-C: nodes
-	// divided by PEs, extended with the memory-port bound).
+	// divided by PEs, extended with the bound of PEs that alone run some
+	// ops, such as the memory ports).
 	MinII(g *dfg.Graph) int
 	// BuildRGraph materializes the modulo routing resource graph for ii.
 	BuildRGraph(ii int) *rgraph.Graph
@@ -46,13 +46,6 @@ const (
 	// connectivity" CGRA in §VI).
 	MemLeftColumn
 )
-
-func (p MemPolicy) String() string {
-	if p == MemLeftColumn {
-		return "left-column"
-	}
-	return "all-PEs"
-}
 
 // allOpsMask is the op bitmask for a fully general ALU PE.
 func allOpsMask() uint32 {
@@ -71,38 +64,15 @@ func maskOf(ops ...dfg.OpKind) uint32 {
 	return m
 }
 
-// ceilDiv returns ceil(a/b).
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		return a
-	}
-	return (a + b - 1) / b
-}
+// ceilDiv returns ceil(a/b) for b > 0.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // manhattan computes |r1-r2| + |c1-c2|.
-func manhattan(r1, c1, r2, c2 int) int {
-	dr := r1 - r2
-	if dr < 0 {
-		dr = -dr
-	}
-	dc := c1 - c2
-	if dc < 0 {
-		dc = -dc
-	}
-	return dr + dc
-}
+func manhattan(r1, c1, r2, c2 int) int { return absInt(r1-r2) + absInt(c1-c2) }
 
-// Validate sanity-checks an architecture (used by tests and the CLI).
-func Validate(a Arch) error {
-	if a.NumPEs() <= 0 {
-		return fmt.Errorf("arch %s: no PEs", a.Name())
+func absInt(x int) int {
+	if x < 0 {
+		return -x
 	}
-	if a.MaxII() < 1 {
-		return fmt.Errorf("arch %s: MaxII < 1", a.Name())
-	}
-	g := a.BuildRGraph(1)
-	if g.NumNodes() == 0 {
-		return fmt.Errorf("arch %s: empty resource graph", a.Name())
-	}
-	return nil
+	return x
 }

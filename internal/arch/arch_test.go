@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,22 @@ import (
 	"github.com/lisa-go/lisa/internal/dfg"
 	"github.com/lisa-go/lisa/internal/rgraph"
 )
+
+// Validate sanity-checks an architecture: it has PEs, a MaxII of at least 1
+// and a non-empty resource graph at II 1.
+func Validate(a Arch) error {
+	if a.NumPEs() <= 0 {
+		return fmt.Errorf("arch %s: no PEs", a.Name())
+	}
+	if a.MaxII() < 1 {
+		return fmt.Errorf("arch %s: MaxII < 1", a.Name())
+	}
+	g := a.BuildRGraph(1)
+	if g.NumNodes() == 0 {
+		return fmt.Errorf("arch %s: empty resource graph", a.Name())
+	}
+	return nil
+}
 
 func TestPaperTargetsValid(t *testing.T) {
 	ts := PaperTargets()
@@ -45,6 +62,20 @@ func TestByName(t *testing.T) {
 		if a, ok := ByName(n); ok || a != nil {
 			t.Errorf("ByName(%q) = %v, %v; want nil, false", n, a, ok)
 		}
+	}
+}
+
+func TestNewCGRARejectsInvalidParameters(t *testing.T) {
+	for _, p := range [][4]int{{0, 2, 1, 24}, {2, 0, 1, 24}, {2, 2, -1, 24}, {2, 2, 1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCGRA(rows %d, cols %d, regs %d, entries %d) did not panic",
+						p[0], p[1], p[2], p[3])
+				}
+			}()
+			NewCGRA("x", p[0], p[1], p[2], MemAll, p[3])
+		}()
 	}
 }
 

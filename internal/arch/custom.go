@@ -7,16 +7,15 @@ import (
 	"github.com/lisa-go/lisa/internal/rgraph"
 )
 
-// Custom is the generic accelerator compiled from a Spec: per-PE op masks
-// and register files, configurable interconnect (mesh / torus / diagonals).
-// The built-in targets could all be expressed as Specs; Custom exists so a
-// user can bring a *description* of their accelerator and get the whole LISA
-// pipeline (training, labels, mapping, simulation) with no code changes.
+// Custom is a mesh accelerator compiled from a Spec: per-PE op masks and
+// register files, configurable interconnect (mesh / torus / diagonals).
+// Every built-in CGRA target is one, and a user can bring a *description*
+// of their accelerator and get the whole LISA pipeline (training, labels,
+// mapping, simulation) with no code changes.
 type Custom struct {
-	spec   Spec
+	spec   *Spec    // a private copy; a pointer keeps ByName's copies small
 	opMask []uint32 // per PE
 	regs   []int    // per PE
-	memPE  []bool   // per PE: may execute loads/stores
 }
 
 // Build compiles a validated Spec into an Arch.
@@ -25,11 +24,11 @@ func (s *Spec) Build() (*Custom, error) {
 		return nil, err
 	}
 	n := s.Rows * s.Cols
+	spec := *s
 	c := &Custom{
-		spec:   *s,
+		spec:   &spec,
 		opMask: make([]uint32, n),
 		regs:   make([]int, n),
-		memPE:  make([]bool, n),
 	}
 	defMask, _ := parseOpsField(s.Defaults.Ops)
 	if defMask == 0 {
@@ -57,26 +56,55 @@ func (s *Spec) Build() (*Custom, error) {
 	// them. Spec op lists therefore only need to describe the ALU.
 	memMask := maskOf(dfg.OpLoad, dfg.OpStore)
 	for pe := 0; pe < n; pe++ {
-		_, col := c.Coord(pe)
+		mem := true
 		switch s.Memory.Policy {
-		case "", "all":
-			c.memPE[pe] = true
 		case "leftColumn":
-			c.memPE[pe] = col == 0
+			mem = pe%s.Cols == 0
 		case "custom":
+			mem = false
 			for _, at := range s.Memory.PEs {
 				if at[0]*s.Cols+at[1] == pe {
-					c.memPE[pe] = true
+					mem = true
 				}
 			}
 		}
-		if c.memPE[pe] {
+		if mem {
 			c.opMask[pe] |= memMask
 		} else {
 			c.opMask[pe] &^= memMask
 		}
 	}
 	return c, nil
+}
+
+// NewCGRA builds a rows×cols mesh CGRA in the style of the paper's Fig. 1:
+// every PE holds a general ALU, a register file of regs entries, a network
+// switch and configEntries per-cycle configuration entries (so MaxII is
+// configEntries). A PE either computes or routes in a given cycle (Fig. 5);
+// its register file buffers values across cycles, the routing resource the
+// "less routing resources" variant cuts from four registers to one. mem
+// selects the PEs that may execute loads and stores. NewCGRA panics on an
+// invalid parameter.
+func NewCGRA(label string, rows, cols, regs int, mem MemPolicy, configEntries int) *Custom {
+	if configEntries < 1 {
+		panic("arch: a CGRA needs at least one configuration entry")
+	}
+	s := Spec{Name: label, Rows: rows, Cols: cols, MaxII: configEntries,
+		Defaults: PESpec{Registers: &regs}}
+	if mem == MemLeftColumn {
+		s.Memory.Policy = "leftColumn"
+	}
+	return mustBuild(s)
+}
+
+// mustBuild builds a Spec whose only source is the caller's code, so an
+// invalid one is a programming error.
+func mustBuild(s Spec) *Custom {
+	c, err := s.Build()
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // LoadArch parses a Spec from r and builds it.
@@ -132,37 +160,45 @@ func (c *Custom) SupportsOp(pe int, op dfg.OpKind) bool {
 // MaxII implements Arch.
 func (c *Custom) MaxII() int { return c.spec.MaxII }
 
-// MinII implements Arch: compute bound, memory bound, and per-op-class
-// bounds for heterogeneous fabrics.
+// MinII implements Arch: the compute bound, and for each group of op kinds
+// that run on exactly the same PEs, the group's ops over its PE count. Ops
+// of one group compete for the same FU slots, so the groups give the
+// memory-port bound under a memory policy and the scarce units' bound on a
+// heterogeneous fabric, where bounding each kind alone would undercount.
 func (c *Custom) MinII(g *dfg.Graph) int {
-	ii := ceilDiv(g.NumNodes(), c.NumPEs())
-	memPEs := 0
-	for _, ok := range c.memPE {
-		if ok {
-			memPEs++
+	var ops [256]int // per dfg.OpKind
+	for _, n := range g.Nodes {
+		ops[n.Op]++
+	}
+	ii := max(1, ceilDiv(len(g.Nodes), c.NumPEs()))
+	var grouped uint32
+	for k := 0; k < dfg.NumOpKinds(); k++ {
+		bit := uint32(1) << uint(k)
+		if grouped&bit != 0 {
+			continue
 		}
-	}
-	if m := ceilDiv(g.MemOpCount(), memPEs); m > ii {
-		ii = m
-	}
-	// Per-op-kind bound: ops of a kind only run on PEs supporting it.
-	counts := dfg.OpHistogram(g)
-	for op, cnt := range counts {
-		supp := 0
-		for pe := 0; pe < c.NumPEs(); pe++ {
-			if c.SupportsOp(pe, op) {
-				supp++
+		// Narrow group to the kinds present on every PE that runs k and
+		// absent from every PE that does not.
+		group, pes := allOpsMask()&^grouped, 0
+		for _, m := range c.opMask {
+			if m&bit != 0 {
+				group &= m
+				pes++
+			} else {
+				group &^= m
 			}
 		}
-		if supp == 0 {
+		grouped |= group
+		if pes == 0 {
 			continue // unmappable; the mapper reports failure
 		}
-		if m := ceilDiv(cnt, supp); m > ii {
-			ii = m
+		n := 0
+		for j := k; j < dfg.NumOpKinds(); j++ {
+			if group&(1<<uint(j)) != 0 {
+				n += ops[j]
+			}
 		}
-	}
-	if ii < 1 {
-		ii = 1
+		ii = max(ii, ceilDiv(n, pes))
 	}
 	return ii
 }
@@ -206,8 +242,15 @@ func (c *Custom) neighbors(pe int) []int {
 	return out
 }
 
-// BuildRGraph implements Arch with the same per-cycle compute-or-route FU +
-// register-file structure as the built-in CGRA.
+// BuildRGraph implements Arch. Per (PE, cycle) it creates one FU node
+// (compute-or-route, capacity 1) and, if the PE has registers, one register
+// bank node (capacity its register count). Every edge advances one cycle
+// mod II:
+//
+//	fu(p,t)  -> fu(p,t+1), fu(n,t+1)   route through own or neighbor ALU
+//	fu(p,t)  -> reg(p,t+1)             write the register file
+//	reg(p,t) -> reg(p,t+1)             hold in the register file
+//	reg(p,t) -> fu(p,t+1), fu(n,t+1)   read out through the switch
 func (c *Custom) BuildRGraph(ii int) *rgraph.Graph {
 	if ii < 1 || ii > c.MaxII() {
 		panic("arch: II out of range for " + c.Name())

@@ -108,6 +108,8 @@ func TestSpecValidationErrors(t *testing.T) {
 		`{"name":"x","rows":2,"cols":2,"pes":[{"at":[0,0],"ops":["zap"]}]}`, // bad op
 		`{"name":"x","rows":2,"cols":2,"defaults":{"ops":"sometimes"}}`,     // bad label
 		`{"name":"x","rows":2,"cols":2,"bogusfield":1}`,                     // unknown field
+		`{"name":"x","rows":2,"cols":2,"defaults":{"registers":-3}}`,        // negative registers
+		`{"name":"x","rows":2,"cols":2,"pes":[{"at":[0,0],"registers":-1}]}`,
 	}
 	for _, src := range bad {
 		if _, err := LoadArch(strings.NewReader(src)); err == nil {
@@ -140,7 +142,8 @@ func TestCustomTorusWraps(t *testing.T) {
 }
 
 func TestCustomEquivalentToBuiltin(t *testing.T) {
-	// A spec mirroring the 4x4 baseline must agree with it on the basics.
+	// A spec spelling out the 4x4 baseline's defaults must build exactly
+	// the target NewBaseline4x4 builds from them.
 	spec := `{"name":"clone-4x4","rows":4,"cols":4,"maxII":24,
 	          "defaults":{"registers":4,"ops":"all"},
 	          "memory":{"policy":"all"},"links":{"mesh":true}}`
@@ -148,20 +151,8 @@ func TestCustomEquivalentToBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBaseline4x4()
-	if c.NumPEs() != b.NumPEs() || c.MaxII() != b.MaxII() {
-		t.Fatal("shape mismatch")
-	}
-	for a := 0; a < 16; a++ {
-		for z := 0; z < 16; z++ {
-			if c.SpatialDistance(a, z) != b.SpatialDistance(a, z) {
-				t.Fatal("distance mismatch")
-			}
-		}
-	}
-	gc := c.BuildRGraph(3)
-	gb := b.BuildRGraph(3)
-	if gc.NumNodes() != gb.NumNodes() {
-		t.Fatalf("resource counts differ: %d vs %d", gc.NumNodes(), gb.NumNodes())
+	gs := pinDFGs()
+	if targetDigest(c, gs) != targetDigest(NewBaseline4x4(), gs) {
+		t.Fatal("spec and built-in baseline differ")
 	}
 }

@@ -109,7 +109,13 @@ func (s *Spec) validate() error {
 	default:
 		return fmt.Errorf("arch %s: unknown memory policy %q", s.Name, s.Memory.Policy)
 	}
+	if r := s.Defaults.Registers; r != nil && *r < 0 {
+		return fmt.Errorf("arch %s: defaults: registers must be >= 0", s.Name)
+	}
 	for i, pe := range s.PEs {
+		if pe.Registers != nil && *pe.Registers < 0 {
+			return fmt.Errorf("arch %s: pes[%d]: registers must be >= 0", s.Name, i)
+		}
 		if pe.At == nil {
 			return fmt.Errorf("arch %s: pes[%d] needs \"at\"", s.Name, i)
 		}

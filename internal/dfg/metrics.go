@@ -53,13 +53,3 @@ func ComputeMetrics(g *Graph) Metrics {
 	m.SameLevelPairs = len(an.SameLevelPairs())
 	return m
 }
-
-// OpHistogram counts nodes per operation kind (compiler statistics; the
-// systolic feasibility discussion in DESIGN.md is driven by these numbers).
-func OpHistogram(g *Graph) map[OpKind]int {
-	h := map[OpKind]int{}
-	for _, n := range g.Nodes {
-		h[n.Op]++
-	}
-	return h
-}
